@@ -134,7 +134,7 @@ def main() -> None:
             await service.flush()
             await asyncio.gather(*first)
             try:  # the queue has room again; now miss a tiny budget
-                await service.submit(3, 9, deadline_ms=0.01)
+                await service.submit(3, 9, deadline_ms=1e-6)
             except DeadlineError:
                 pass  # budget expired before the batch flushed -> 504
             return service.stats()

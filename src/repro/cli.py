@@ -233,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-wait-ms",
         type=float,
         default=2.0,
-        help="admission deadline for unfilled batches (milliseconds)",
+        help="longest a point query waits behind an in-flight kernel batch "
+        "(milliseconds); with none in flight it dispatches at once",
     )
     p_http.add_argument(
         "--cache-size",

@@ -44,7 +44,9 @@ _COUNT_LIMIT = 2**63 - 1
 class CompactLabelIndex:
     """A frozen ESPC index over flat numpy arrays."""
 
-    __slots__ = ("order", "indptr", "hubs", "dists", "counts", "weight_by_rank")
+    __slots__ = (
+        "order", "indptr", "hubs", "dists", "counts", "weight_by_rank", "overflow_bound"
+    )
 
     #: :class:`~repro.core.store.LabelStore` protocol: representation name.
     kind = "compact"
@@ -64,6 +66,10 @@ class CompactLabelIndex:
         self.dists = dists
         self.counts = counts
         self.weight_by_rank = weight_by_rank
+        #: the batch kernel's int64 overflow bound, filled on the first
+        #: batch call (see :mod:`repro.core.engine`); the store is frozen,
+        #: so one scan serves its lifetime.  Not part of equality.
+        self.overflow_bound: int | None = None
 
     # ------------------------------------------------------------------
     @classmethod

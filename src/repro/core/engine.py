@@ -21,11 +21,15 @@ contiguous segment reduced with ``np.minimum.reduceat`` /
 ``ufunc.at`` scatter path).
 
 Counts are the correctness corner: the vectorized kernel accumulates in
-``int64`` while the scalar kernels use Python ints.  The engine therefore
-precomputes a conservative overflow bound (``max_count^2 * max_weight *
-max_label_size``) when it is built and silently falls back to the exact
-per-pair path whenever a batch could overflow — results are identical to
-the tuple kernel in every regime, only the speed differs.
+``int64`` while the scalar kernels use Python ints.  The first batch call
+on a store therefore scans it once for a conservative overflow bound
+(``max_count^2 * max_weight * max_label_size``) and caches it on the
+store (:attr:`~repro.core.compact.CompactLabelIndex.overflow_bound`);
+every call compares that bound with the int64 safety limit and silently
+falls back to the exact per-pair path whenever a batch could overflow —
+results are identical to the tuple kernel in every regime, only the speed
+differs.  The scan is lazy, so opening or publishing an mmap-cold store
+never pages its counts in.
 """
 
 from __future__ import annotations
@@ -60,14 +64,25 @@ _INT64_MAX = np.iinfo(np.int64).max
 _SAFE_LIMIT = 2**62
 
 
-def _batch_is_safe(store: CompactLabelIndex, n_pairs: int) -> bool:
-    """Whether int64 arithmetic cannot overflow for this store and batch."""
+def _scan_overflow_bound(store: CompactLabelIndex) -> int:
+    """``cmax^2 * max(wmax, 1) * max(lmax, 1)``: the largest value a batch
+    over ``store`` can accumulate (one full scan of counts and indptr)."""
     if store.total_entries() == 0:
-        return n_pairs * max(store.n, 1) < _INT64_MAX
+        return 0
     cmax = int(np.abs(store.counts).max())
     wmax = int(store.weight_by_rank.max()) if len(store.weight_by_rank) else 1
     lmax = int(np.diff(store.indptr).max())
-    if cmax * cmax * max(wmax, 1) * max(lmax, 1) >= _SAFE_LIMIT:
+    return cmax * cmax * max(wmax, 1) * max(lmax, 1)
+
+
+def _batch_is_safe(store: CompactLabelIndex, n_pairs: int) -> bool:
+    """Whether int64 arithmetic cannot overflow for this store and batch."""
+    bound = store.overflow_bound
+    if bound is None:
+        # stores are frozen: scan once and cache; two executor threads
+        # racing here both write the same int
+        bound = store.overflow_bound = _scan_overflow_bound(store)
+    if bound >= _SAFE_LIMIT:
         return False
     # pair keys are pair_id * n + hub_rank and must fit int64 as well
     return n_pairs * max(store.n, 1) < _INT64_MAX

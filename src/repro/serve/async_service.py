@@ -1,14 +1,19 @@
 """Asyncio admission-batched query service — the async twin of
 :class:`repro.api.QueryService`.
 
-``await submit(s, t)`` parks the caller on a future while queries
-accumulate; when ``batch_size`` are pending (or the oldest has waited
-``max_wait`` seconds) the whole batch flushes through **one** kernel call,
-dispatched off the event loop with ``loop.run_in_executor`` so thousands of
-concurrent awaiters cost one vectorized merge per batch and the loop never
-blocks.  The kernel target is either a counter's ``query_batch`` directly
-(``workers=0``) or a :class:`~repro.serve.pool.WorkerPool` sharding each
-batch across spawn-based processes attached to the shared-memory segment.
+``await submit(s, t)`` parks the caller on a future and admission flushes
+**when idle**: a submit that finds no kernel batch in flight dispatches at
+the end of the current loop turn (every arrival in that turn shares the
+flush), so a lone query never waits out a timer.  While a batch is in
+flight, submits accumulate and go out together the moment it completes —
+or when ``batch_size`` are pending, or when the oldest has waited
+``max_wait`` seconds, the upper bound on that wait.  Each batch is **one**
+kernel call, dispatched off the event loop with ``loop.run_in_executor``
+so thousands of concurrent awaiters cost one vectorized merge per batch
+and the loop never blocks.  The kernel target is either a counter's
+``query_batch`` directly (``workers=0``) or a
+:class:`~repro.serve.pool.WorkerPool` sharding each batch across
+spawn-based processes attached to the shared-memory segment.
 
 Same invariant as the synchronous service: answers are identical to
 per-pair ``query`` calls in every regime — admission batching and process
@@ -54,7 +59,10 @@ class AsyncQueryService:
     """Admission micro-batching over an event loop.
 
     Parameters mirror :class:`repro.api.QueryService` (``batch_size``,
-    ``max_wait``, ``cache_size``) plus the dispatch target: ``workers=0``
+    ``max_wait``, ``cache_size``) plus the dispatch target.  Unlike the
+    sync twin, ``max_wait`` only bounds how long queries accumulate behind
+    a kernel batch already in flight; with nothing in flight a submit
+    dispatches at once (flush reason ``idle``).  ``workers=0``
     (default) flushes straight onto ``counter.query_batch`` in an executor
     thread; ``workers=N`` publishes the counter to shared memory and
     shards every flush across a spawned :class:`WorkerPool` (owned by the
@@ -154,7 +162,10 @@ class AsyncQueryService:
         self._dispatch = target.query_batch
         self._n = int(getattr(target, "n", 0))
         self._pending: "list[_Entry]" = []
+        #: max_wait bound on queries accumulating behind an in-flight batch
         self._timer: asyncio.TimerHandle | None = None
+        #: end-of-turn flush scheduled by the first submit into an idle service
+        self._idle: asyncio.Handle | None = None
         self._flush_tasks: set[asyncio.Task] = set()
         #: flush reason deferred by the in-flight gate; re-armed when a
         #: running batch completes (see :meth:`_flush_finished`)
@@ -242,6 +253,11 @@ class AsyncQueryService:
         )
         if len(self._pending) >= self.batch_size:
             self._start_flush("full")
+        elif not self._flush_tasks:
+            # nothing in flight: dispatch at the end of this loop turn, so
+            # every arrival in the same turn shares the flush
+            if self._idle is None:
+                self._idle = loop.call_soon(self._idle_flush)
         elif self._timer is None:
             self._timer = loop.call_later(self.max_wait, self._deadline_expired)
         return await future
@@ -258,6 +274,11 @@ class AsyncQueryService:
         if self._pending:
             self._start_flush("timeout")
 
+    def _idle_flush(self) -> None:
+        self._idle = None
+        if self._pending:
+            self._start_flush("idle")
+
     def _start_flush(self, reason: str) -> None:
         """Detach the pending batch and evaluate it in a background task.
 
@@ -266,9 +287,7 @@ class AsyncQueryService:
         instead of unbounded concurrent kernel work — and the deferred
         flush fires from :meth:`_flush_finished` when a slot frees up.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._cancel_timers()
         batch = self._pending
         if not batch:
             return
@@ -281,13 +300,21 @@ class AsyncQueryService:
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_finished)
 
+    def _cancel_timers(self) -> None:
+        for handle in (self._timer, self._idle):
+            if handle is not None:
+                handle.cancel()
+        self._timer = self._idle = None
+
     def _flush_finished(self, task: asyncio.Task) -> None:
-        """A kernel batch completed: re-arm any flush the gate deferred."""
+        """A kernel batch completed: re-arm any flush the gate deferred,
+        and dispatch what accumulated behind the last in-flight batch.
+
+        (A full batch never waits here unless the gate deferred it: the
+        submit that fills one starts its flush at once.)"""
         self._flush_tasks.discard(task)
-        if self._pending and (
-            self._stalled is not None or len(self._pending) >= self.batch_size
-        ):
-            self._start_flush(self._stalled or "full")
+        if self._pending and (self._stalled is not None or not self._flush_tasks):
+            self._start_flush(self._stalled or "idle")
 
     def _shed_expired(self, batch: "list[_Entry]") -> "list[_Entry]":
         """Fail expired entries with :class:`DeadlineError`; return the rest.
@@ -393,18 +420,19 @@ class AsyncQueryService:
         *,
         deadline_ms: float | None = None,
     ) -> list[SPCResult]:
-        """Answer a whole workload in admission-sized kernel calls.
+        """Answer a whole workload, bypassing admission batching.
 
         Point-path stragglers are flushed first so batches stay aligned;
-        the bulk chunks bypass the LRU cache (it exists for hot repeated
-        point pairs, not for sweeps).  Chunks are ``batch_size`` pairs when
-        dispatching onto a counter directly and ``batch_size * workers``
-        over a pool — each pool dispatch shards across all workers, so
-        admission-sized chunks would leave N-1 workers idle per call.
+        the bulk path bypasses the LRU cache (it exists for hot repeated
+        point pairs, not for sweeps).  Over a pool the whole workload is
+        **one** :meth:`WorkerPool.query_batch` dispatch — the pool already
+        splits it by worker and home shard, so chunking here would only
+        add pipe round trips.  Dispatching onto a counter directly runs
+        ``batch_size``-pair chunks.
 
         ``deadline_ms`` (default: the service budget) bounds the whole
-        workload: the check runs between chunks, so an expired deadline
-        sheds the *remaining* kernel calls with
+        workload: the check runs before every kernel call (once, over a
+        pool), so an expired deadline sheds the *remaining* calls with
         :class:`~repro.errors.DeadlineError` rather than grinding on.
         """
         if self._closed:
@@ -417,7 +445,7 @@ class AsyncQueryService:
             return []
         deadline = self._absolute_deadline(deadline_ms)
         await self.flush()
-        chunk_size = self.batch_size * (self.pool.workers if self.pool else 1)
+        chunk_size = len(workload) if self.pool is not None else self.batch_size
         results: list[SPCResult] = []
         for start in range(0, len(workload), chunk_size):
             if deadline is not None and time.monotonic() >= deadline:
@@ -505,9 +533,7 @@ class AsyncQueryService:
         if self._closed:
             return
         self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        self._cancel_timers()
         if self._pending:
             batch = self._pending
             self._pending = []

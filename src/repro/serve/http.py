@@ -36,6 +36,7 @@ import asyncio
 import json
 import os
 import signal
+import sys
 import time
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
@@ -295,10 +296,12 @@ class HttpFrontend:
         values = query.get(name)
         if not values:
             raise _HttpError(400, f"missing query parameter {name!r}")
-        try:
-            return int(values[0])
-        except ValueError:
-            raise _HttpError(400, f"parameter {name!r} must be an integer") from None
+        value = values[0]
+        # ASCII decimal digits only: int() would also take "+5", "1_0",
+        # surrounding spaces and non-ASCII digits such as "\u0663"
+        if not (value.isascii() and value.isdigit()):
+            raise _HttpError(400, f"parameter {name!r} must be a non-negative integer")
+        return int(value)
 
     def _deadline_param(self, query: dict) -> "float | None":
         values = query.get("deadline_ms")
@@ -308,7 +311,7 @@ class HttpFrontend:
             deadline_ms = float(values[0])
         except ValueError:
             raise _HttpError(400, "parameter 'deadline_ms' must be a number") from None
-        if deadline_ms <= 0:
+        if not 0 < deadline_ms <= sys.float_info.max:  # also refuses nan, inf
             raise _HttpError(400, "parameter 'deadline_ms' must be positive")
         return deadline_ms
 
@@ -336,17 +339,27 @@ class HttpFrontend:
         except json.JSONDecodeError as exc:
             raise _HttpError(400, f"body is not JSON: {exc}") from None
         pairs = decoded.get("pairs") if isinstance(decoded, dict) else None
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs
-        ):
+        if not isinstance(pairs, list):
             raise _HttpError(400, 'body must be {"pairs": [[s, t], ...]}')
-        try:
-            workload = [(int(s), int(t)) for s, t in pairs]
-        except (TypeError, ValueError):
-            raise _HttpError(400, "pair endpoints must be integers") from None
+        # one pass: shape and exact types together.  JSON decodes to exact
+        # builtins, so ``type(x) is int`` refuses floats (int() would
+        # truncate 1.7), strings ("3") and bools (a subclass of int).
+        workload: list[tuple[int, int]] = []
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                raise _HttpError(400, 'body must be {"pairs": [[s, t], ...]}')
+            s, t = pair
+            if type(s) is not int or type(t) is not int:
+                raise _HttpError(400, "pair endpoints must be integers")
+            workload.append((s, t))
         deadline_ms = decoded.get("deadline_ms")
         if deadline_ms is not None:
-            if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            # exact types again (true is not a budget); the range test
+            # refuses NaN, infinities and ints float() cannot represent
+            if (
+                type(deadline_ms) not in (int, float)
+                or not 0 < deadline_ms <= sys.float_info.max
+            ):
                 raise _HttpError(400, '"deadline_ms" must be a positive number')
             deadline_ms = float(deadline_ms)
         results = await self.service.query_batch(workload, deadline_ms=deadline_ms)

@@ -142,7 +142,7 @@ class FlushStats:
     def __init__(self) -> None:
         self.queries = 0
         self.batches = 0
-        self.reasons = {"full": 0, "timeout": 0, "manual": 0, "bulk": 0}
+        self.reasons = {"full": 0, "timeout": 0, "idle": 0, "manual": 0, "bulk": 0}
         self.total_seconds = 0.0
         self.max_seconds = 0.0
         self.flushed_queries = 0
@@ -179,6 +179,7 @@ class FlushStats:
             "mean_batch_size": round(mean_batch, 2),
             "full_flushes": self.reasons.get("full", 0),
             "timeout_flushes": self.reasons.get("timeout", 0),
+            "idle_flushes": self.reasons.get("idle", 0),
             "manual_flushes": self.reasons.get("manual", 0),
             "bulk_flushes": self.reasons.get("bulk", 0),
             "mean_flush_us": round(self.total_seconds / batches * 1e6, 2) if batches else 0.0,
@@ -249,7 +250,7 @@ def render_prometheus(
     _metric(
         lines, "repro_flushes_total", "counter", "Kernel flushes by trigger reason."
     )
-    for reason in ("full", "timeout", "manual", "bulk"):
+    for reason in ("full", "timeout", "idle", "manual", "bulk"):
         lines.append(
             f'repro_flushes_total{{reason="{reason}"}} '
             f"{stats.get(f'{reason}_flushes', 0)}"

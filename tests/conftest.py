@@ -3,11 +3,13 @@ and the ``/dev/shm`` leak guard applied to every suite that spawns workers."""
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.errors import ServeError
 from repro.graph.generators import barabasi_albert, grid_road_network
 from repro.graph.graph import Graph
 from repro.ordering.base import VertexOrder
@@ -36,6 +38,37 @@ def assert_no_shm_leak():
     yield
     leaked = _shm_segments() - before
     assert not leaked, f"test leaked shm segments: {sorted(leaked)}"
+
+
+class _HeldKernel:
+    """A counter whose ``query_batch`` records every batch it receives
+    (``calls``, in arrival order), then blocks until :meth:`release` —
+    a kernel batch that stays in flight exactly as long as a test needs."""
+
+    def __init__(self, counter: object) -> None:
+        self.counter = counter
+        self.n = counter.n
+        self.calls: list[list[tuple[int, int]]] = []
+        self._open = threading.Event()
+
+    def hold(self) -> None:
+        self._open.clear()
+
+    def release(self) -> None:
+        self._open.set()
+
+    def query_batch(self, pairs):
+        self.calls.append([(int(s), int(t)) for s, t in pairs])
+        if not self._open.wait(timeout=30.0):
+            raise ServeError("held kernel was never released")
+        return self.counter.query_batch(pairs)
+
+
+@pytest.fixture
+def held_kernel():
+    """Factory ``held_kernel(counter)``: starts held, so an admission test
+    can queue work behind an in-flight batch before releasing it."""
+    return _HeldKernel
 
 
 @pytest.fixture

@@ -164,17 +164,24 @@ class TestAdmissionControl:
             chaos_index.query(0, i).count for i in range(1, 5)
         ]
 
-    def test_expired_deadline_sheds_before_the_kernel(self, chaos_index):
+    def test_expired_deadline_sheds_before_the_kernel(self, chaos_index, held_kernel):
         async def main():
+            kernel = held_kernel(chaos_index)
             async with AsyncQueryService(
-                chaos_index, batch_size=64, max_wait=0.05
+                kernel, batch_size=64, max_wait=0.05
             ) as service:
+                blocker = asyncio.ensure_future(service.submit(0, 1))
+                while not kernel.calls:  # the blocker's batch is in flight
+                    await asyncio.sleep(0.001)
                 task = asyncio.ensure_future(service.submit(0, 5, deadline_ms=1.0))
                 with pytest.raises(DeadlineError):
                     await task  # the 50 ms timer flush finds it expired
                 stats = service.stats()
                 assert stats["deadline_shed"] == 1
-                # an unexpired co-batched query is unaffected
+                assert kernel.calls == [[(0, 1)]]  # the shed pair never reached it
+                kernel.release()
+                assert (await blocker).count == chaos_index.query(0, 1).count
+                # an unexpired query is unaffected
                 assert (await service.submit(0, 5)).count == chaos_index.query(0, 5).count
 
         asyncio.run(main())

@@ -113,6 +113,28 @@ class TestVectorizedBatch:
         assert query_batch_compact(compact, pairs) == expected
         assert calls["per_pair"] == len(pairs)
 
+    def test_overflow_bound_scanned_once_per_store(self, built, monkeypatch):
+        _, labels, compact = built
+        scans = []
+        original = engine_module._scan_overflow_bound
+
+        def spy(store):
+            scans.append(store)
+            return original(store)
+
+        monkeypatch.setattr(engine_module, "_scan_overflow_bound", spy)
+        pairs = [(0, 5), (3, 9)]
+        expected = [spc_query(labels, s, t) for s, t in pairs]
+        for _ in range(3):
+            assert query_batch_compact(compact, pairs) == expected
+            assert compact.query_batch(pairs) == expected
+        assert len(scans) == 1 and scans[0] is compact
+        # another store scans its own counts; the cache is not equality
+        twin = CompactLabelIndex.from_index(labels)
+        assert twin == compact and twin.overflow_bound is None
+        assert QueryEngine(twin).query_batch(pairs) == expected
+        assert len(scans) == 2 and scans[1] is twin
+
 
 class TestCosts:
     def test_costs_match_tuple_kernel(self, built):

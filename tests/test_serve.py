@@ -303,13 +303,31 @@ class TestAsyncQueryService:
         assert results == served_index.query_batch(pairs)
         assert stats["bulk_flushes"] == 4  # ceil(500 / 128)
 
-    def test_timeout_flush_and_aclose_semantics(self, served_index):
+    def test_timeout_flush_and_aclose_semantics(self, served_index, held_kernel):
         async def main():
-            service = AsyncQueryService(served_index, batch_size=1000, max_wait=0.01)
-            # an unfilled batch flushes on the admission deadline
+            kernel = held_kernel(served_index)
+            kernel.release()
+            service = AsyncQueryService(kernel, batch_size=1000, max_wait=0.01)
+            # a lone submit finds nothing in flight: an idle flush, no timer
             result = await asyncio.wait_for(service.submit(0, 5), timeout=5.0)
             assert result == served_index.query(0, 5)
-            assert service.stats()["timeout_flushes"] == 1
+            stats = service.stats()
+            assert (stats["idle_flushes"], stats["timeout_flushes"]) == (1, 0)
+            # a submit behind an in-flight batch is flushed by the max_wait
+            # timer, not held until that batch completes
+            kernel.hold()
+            blocker = asyncio.ensure_future(service.submit(0, 9))
+            while len(kernel.calls) < 2:
+                await asyncio.sleep(0.001)
+            late = asyncio.ensure_future(service.submit(1, 7))
+            while len(kernel.calls) < 3:  # dispatched while the blocker is held
+                await asyncio.sleep(0.001)
+            kernel.release()
+            assert (await blocker) == served_index.query(0, 9)
+            assert (await late) == served_index.query(1, 7)
+            assert kernel.calls == [[(0, 5)], [(0, 9)], [(1, 7)]]
+            stats = service.stats()
+            assert (stats["idle_flushes"], stats["timeout_flushes"]) == (2, 1)
             # aclose flushes stragglers instead of stranding them
             waiter = asyncio.ensure_future(service.submit(1, 7))
             await asyncio.sleep(0)  # let the submit enqueue
@@ -320,6 +338,47 @@ class TestAsyncQueryService:
                 await service.submit(2, 3)
 
         asyncio.run(main())
+
+    def test_lone_submit_does_not_wait_out_max_wait(self, served_index):
+        async def main():
+            async with AsyncQueryService(
+                served_index, batch_size=64, max_wait=5.0
+            ) as service:
+                result = await asyncio.wait_for(service.submit(0, 5), timeout=1.0)
+                return result, service.stats()
+
+        result, stats = asyncio.run(main())
+        assert result == served_index.query(0, 5)
+        assert (stats["idle_flushes"], stats["timeout_flushes"]) == (1, 0)
+
+    def test_submits_behind_an_inflight_batch_go_out_as_one(
+        self, served_index, held_kernel
+    ):
+        pairs = _random_pairs(served_index.n, 5, seed=8)
+
+        async def main():
+            kernel = held_kernel(served_index)
+            async with AsyncQueryService(
+                kernel, batch_size=64, max_wait=5.0
+            ) as service:
+                blocker = asyncio.ensure_future(service.submit(0, 9))
+                while not kernel.calls:
+                    await asyncio.sleep(0.001)
+                behind = asyncio.gather(*(service.submit(s, t) for s, t in pairs))
+                while service.pending < len(pairs):
+                    await asyncio.sleep(0)
+                kernel.release()
+                results = await asyncio.wait_for(behind, timeout=1.0)
+                await blocker
+                return list(results), kernel.calls, service.stats()
+
+        results, calls, stats = asyncio.run(main())
+        assert results == served_index.query_batch(pairs)
+        # dispatched together the moment the blocker completed: no timer
+        assert calls == [[(0, 9)], pairs]
+        assert (stats["batches"], stats["idle_flushes"], stats["timeout_flushes"]) == (
+            2, 2, 0,
+        )
 
     def test_cache_short_circuits_kernel(self, served_index):
         async def main():
@@ -556,6 +615,44 @@ class TestHttpUnhappyPaths:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("POST", "/query_batch", {"pairs": [[1.7, 2.9]]}),
+            ("POST", "/query_batch", {"pairs": [[True, False]]}),
+            ("POST", "/query_batch", {"pairs": [["3", "4"]]}),
+            ("POST", "/query_batch", {"pairs": [[0, 5]], "deadline_ms": True}),
+            ("POST", "/query_batch", {"pairs": [[0, 5]], "deadline_ms": float("nan")}),
+            ("POST", "/query_batch", {"pairs": [[0, 5]], "deadline_ms": 10**400}),
+            ("GET", "/query?s=1_0&t=2", None),
+            ("GET", "/query?s=+5&t=2", None),
+            ("GET", "/query?s=%D9%A3&t=2", None),  # Arabic-Indic digit three
+            ("GET", "/query?s=0&t=2&deadline_ms=nan", None),
+        ],
+        ids=[
+            "float", "bool", "string", "bool-deadline", "nan-deadline",
+            "huge-deadline", "underscore", "plus", "non-ascii", "nan-deadline-param",
+        ],
+    )
+    def test_malformed_numbers_are_a_400(self, served_index, method, path, body):
+        """Each was answered before: as another vertex (int() coerces
+        floats, bools, strings, "1_0", " 5" and non-ASCII digits), with no
+        deadline (NaN), or as a 500 (float() overflow)."""
+
+        async def main():
+            service = AsyncQueryService(served_index, batch_size=16)
+            port, stop, task = await self._serve(service)
+            payload = json.dumps(body).encode() if body is not None else b""
+            status, err = await _http_request(port, method, path, payload)
+            stats = service.stats()
+            stop.set()
+            await asyncio.wait_for(task, timeout=10)
+            return status, err, stats
+
+        status, err, stats = asyncio.run(main())
+        assert status == 400 and "error" in err
+        assert stats["batches"] == 0  # refused before any kernel call
+
     def test_stalled_request_times_out_as_408(self, served_index, monkeypatch):
         import repro.serve.http as http_mod
 
@@ -743,7 +840,7 @@ def test_async_bad_submit_does_not_poison_cobatched_queries(served_index):
 
 
 def test_pool_bulk_chunks_scale_with_workers(served_index):
-    """A pool-backed bulk sweep uses batch_size * workers per kernel call."""
+    """A pool-backed bulk sweep is one pool dispatch, split across workers."""
     pairs = _random_pairs(served_index.n, 300)
 
     async def main():
@@ -755,7 +852,22 @@ def test_pool_bulk_chunks_scale_with_workers(served_index):
 
     results, stats = asyncio.run(main())
     assert results == served_index.query_batch(pairs)
-    assert stats["bulk_flushes"] == 3  # ceil(300 / (64 * 2))
+    assert stats["bulk_flushes"] == 1  # not ceil(300 / batch_size) chunks
+    assert stats["pool"]["batches"] == 1
+    assert [row["queries"] > 0 for row in stats["pool"]["per_worker"]] == [True, True]
+
+
+def test_overflow_bound_is_per_store(served_index):
+    """A safe store's cached bound never leaks onto another store."""
+    pairs = _random_pairs(served_index.n, 8)
+    served_index.query_batch(pairs)
+    assert served_index.store.overflow_bound < 2**62
+    store = _overflow_store()
+    assert store.overflow_bound is None  # nothing cached before its first batch
+    assert [r.count for r in store.query_batch([(0, 1), (1, 0), (2, 2)])] == [
+        2**80, 2**80, 1,
+    ]
+    assert store.overflow_bound >= 2**62
 
 
 def test_pool_ragged_batch_raises_query_error(served_index):
