@@ -26,7 +26,7 @@ tests); the merge runs over the packed arrays.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,9 +36,66 @@ from repro.errors import IndexStateError, QueryError
 from repro.graph.traversal import UNREACHABLE
 from repro.ordering.base import VertexOrder
 
-__all__ = ["CompactLabelIndex"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import Answers
+
+__all__ = ["CompactLabelIndex", "LabelView", "join_pair"]
 
 _COUNT_LIMIT = 2**63 - 1
+
+
+class LabelView(NamedTuple):
+    """One side of the two-hop join: CSR label columns over global vertex ids.
+
+    An undirected store's s side and t side are the same view; a directed
+    store joins its ``Lout`` view (s side) with its ``Lin`` view (t side);
+    a shard fleet joins the views of the shards owning ``s`` and ``t``.
+    """
+
+    indptr: np.ndarray
+    hubs: np.ndarray
+    dists: np.ndarray
+    counts: np.ndarray
+
+
+def join_pair(
+    s_view: LabelView,
+    t_view: LabelView,
+    s: int,
+    t: int,
+    rank: "np.ndarray | None" = None,
+    weights: "np.ndarray | None" = None,
+) -> tuple[int, int]:
+    """Exact ``(dist, count)`` of one pair, accumulated in Python ints.
+
+    Equations (1)-(2) over ``s_view``'s label of ``s`` and ``t_view``'s
+    label of ``t``.  ``rank``/``weights`` (equivalence-reduced graphs only)
+    multiply the count of every hub other than the endpoints by its
+    multiplicity.  Never overflows, so it is also the batch kernel's
+    fallback when int64 accumulation could.
+    """
+    if s == t:
+        return 0, 1
+    lo_s, hi_s = int(s_view.indptr[s]), int(s_view.indptr[s + 1])
+    lo_t, hi_t = int(t_view.indptr[t]), int(t_view.indptr[t + 1])
+    common, idx_s, idx_t = np.intersect1d(
+        s_view.hubs[lo_s:hi_s], t_view.hubs[lo_t:hi_t],
+        assume_unique=True, return_indices=True,
+    )
+    if len(common) == 0:
+        return UNREACHABLE, 0
+    dsum = s_view.dists[lo_s + idx_s].astype(np.int64) + t_view.dists[lo_t + idx_t]
+    best = int(dsum.min())
+    at_best = np.flatnonzero(dsum == best)
+    firsts = s_view.counts[lo_s + idx_s[at_best]].tolist()
+    seconds = t_view.counts[lo_t + idx_t[at_best]].tolist()
+    if weights is None or rank is None:
+        return best, sum(a * b for a, b in zip(firsts, seconds))
+    ends = (int(rank[s]), int(rank[t]))
+    total = 0
+    for hub, a, b in zip(common[at_best].tolist(), firsts, seconds):
+        total += a * b if hub in ends else a * b * int(weights[hub])
+    return best, total
 
 
 class CompactLabelIndex:
@@ -178,6 +235,15 @@ class CompactLabelIndex:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def view(self) -> LabelView:
+        """The label columns as one join side (both sides, undirected)."""
+        return LabelView(self.indptr, self.hubs, self.dists, self.counts)
+
+    def join_views(self) -> tuple[LabelView, LabelView]:
+        """``(s side, t side)`` of the two-view join: the same labels."""
+        view = self.view()
+        return view, view
+
     def query(self, s: int, t: int) -> SPCResult:
         """Exact ``(distance, count)`` — identical to the tuple index."""
         n = self.n
@@ -185,35 +251,10 @@ class CompactLabelIndex:
             raise QueryError(f"source vertex {s} out of range for index over {n} vertices")
         if not 0 <= t < n:
             raise QueryError(f"target vertex {t} out of range for index over {n} vertices")
-        if s == t:
-            return SPCResult(s, t, 0, 1)
-        lo_s, hi_s = int(self.indptr[s]), int(self.indptr[s + 1])
-        lo_t, hi_t = int(self.indptr[t]), int(self.indptr[t + 1])
-        hubs_s = self.hubs[lo_s:hi_s]
-        hubs_t = self.hubs[lo_t:hi_t]
-        common, idx_s, idx_t = np.intersect1d(
-            hubs_s, hubs_t, assume_unique=True, return_indices=True
-        )
-        if len(common) == 0:
-            return SPCResult(s, t, UNREACHABLE, 0)
-        dsum = (
-            self.dists[lo_s:hi_s][idx_s].astype(np.int64)
-            + self.dists[lo_t:hi_t][idx_t].astype(np.int64)
-        )
-        best = int(dsum.min())
-        at_best = np.flatnonzero(dsum == best)
-        rank_s = int(self.order.rank[s])
-        rank_t = int(self.order.rank[t])
-        total = 0
-        for k in at_best:
-            hub_rank = int(common[k])
-            contribution = int(self.counts[lo_s:hi_s][idx_s[k]]) * int(
-                self.counts[lo_t:hi_t][idx_t[k]]
-            )
-            if hub_rank != rank_s and hub_rank != rank_t:
-                contribution *= int(self.weight_by_rank[hub_rank])
-            total += contribution
-        return SPCResult(s, t, best, total)
+        view = self.view()
+        weights = self.weight_by_rank if len(self.weight_by_rank) else None
+        dist, count = join_pair(view, view, s, t, self.order.rank, weights)
+        return SPCResult(s, t, dist, count)
 
     def spc(self, s: int, t: int) -> int:
         """Number of shortest paths between ``s`` and ``t``."""
@@ -223,9 +264,15 @@ class CompactLabelIndex:
         """Shortest-path distance (-1 if disconnected)."""
         return self.query(s, t).dist
 
+    def answer_batch(self, pairs: Sequence[tuple[int, int]]) -> "Answers":
+        """``(dist, count)`` rows of many pairs (the batch join, no objects)."""
+        from repro.core.engine import answer_batch  # local: engine imports this module
+
+        return answer_batch(self, pairs)
+
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[SPCResult]:
         """Evaluate many pairs with the vectorized batch kernel."""
-        from repro.core.engine import QueryEngine  # local: engine imports this module
+        from repro.core.engine import QueryEngine
 
         return QueryEngine(self).query_batch(pairs)
 

@@ -1,4 +1,4 @@
-"""Store-agnostic SPC query evaluation: one engine, two kernels.
+"""Store-agnostic SPC query evaluation: one engine, one two-view join.
 
 :class:`QueryEngine` wraps any :class:`~repro.core.store.LabelStore` and
 serves the four query entry points (``query``, ``spc``, ``distance``,
@@ -6,45 +6,74 @@ serves the four query entry points (``query``, ``spc``, ``distance``,
 
 * **tuple stores** (:class:`~repro.core.labels.LabelIndex`) use the
   two-pointer Python merge in :mod:`repro.core.queries`;
-* **compact stores** (:class:`~repro.core.compact.CompactLabelIndex`) use
-  numpy kernels over the packed ``hubs``/``dists``/``counts`` arrays — an
-  ``np.intersect1d``-style merge per pair, and a *batch* kernel that joins
-  the label lists of every pair in a handful of array operations, with no
-  per-pair Python overhead.
+* **compact stores** use :func:`join`, the batch kernel of Equations (1)-(2)
+  over two :class:`~repro.core.compact.LabelView` sides.  An undirected
+  store passes its own columns twice, the directed store its ``Lout``
+  columns for ``s`` and its ``Lin`` columns for ``t``, and a shard fleet
+  the stores of the shards owning ``s`` and ``t`` (see
+  :mod:`repro.serve.router`).  It returns ``(dist, count)`` rows as one
+  ``(B, 2)`` int64 array; :class:`~repro.core.queries.SPCResult` objects
+  are built only at the public ``query_batch`` edges.
 
-The batch kernel keys each label entry by ``pair_id * n + hub_rank``; both
-key arrays are globally sorted and duplicate-free (hubs are strictly
-increasing within a label list), so one ``np.searchsorted`` probe finds the
-common hubs of *all* pairs at once, and the matches of each pair form a
-contiguous segment reduced with ``np.minimum.reduceat`` /
-``np.add.reduceat`` (an order of magnitude faster than the buffered
-``ufunc.at`` scatter path).
+The join keys each label entry by ``pair_id * n + hub_rank``; within a
+chunk of pairs both key arrays are sorted and duplicate-free (hubs are
+strictly increasing within a label list), so the t-side entry matching each
+s-side key comes from one dense lookup table (a ``pair x hub`` int32 table,
+while it fits :data:`_TABLE_CELLS`) or one ``np.searchsorted`` probe.  The
+matches of each pair form a contiguous segment reduced with
+``np.minimum.reduceat`` / ``np.add.reduceat``.
 
-Counts are the correctness corner: the vectorized kernel accumulates in
-``int64`` while the scalar kernels use Python ints.  The first batch call
-on a store therefore scans it once for a conservative overflow bound
-(``max_count^2 * max_weight * max_label_size``) and caches it on the
-store (:attr:`~repro.core.compact.CompactLabelIndex.overflow_bound`);
-every call compares that bound with the int64 safety limit and silently
-falls back to the exact per-pair path whenever a batch could overflow —
-results are identical to the tuple kernel in every regime, only the speed
-differs.  The scan is lazy, so opening or publishing an mmap-cold store
-never pages its counts in.
+Counts are the correctness corner: the join accumulates in ``int64`` while
+the scalar kernels use Python ints.  The first batch call on a store
+therefore scans it once for a conservative overflow bound
+(``max_count^2 * max_weight * max_label_size``) and caches it on the store
+(its ``overflow_bound`` slot); every call compares the larger bound of the
+two sides with the int64 safety limit (the larger per-store bound covers a
+product across two stores) and falls back to the exact per-pair path
+whenever a batch could overflow.  Answers are identical to the tuple
+kernel in every regime; only the speed differs.  The scan is lazy, so
+opening or publishing an mmap-cold store never pages its counts in.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Protocol, Sequence, Union
 
 import numpy as np
 
-from repro.core.compact import CompactLabelIndex
+from repro.core.compact import CompactLabelIndex, LabelView, join_pair
 from repro.core.labels import LabelIndex
 from repro.core.queries import SPCResult, merge_labels, spc_query, spc_query_with_cost
 from repro.errors import QueryError
 from repro.graph.traversal import UNREACHABLE, slice_positions
 
-__all__ = ["QueryEngine", "query_batch_compact", "validate_pairs", "validate_vertex"]
+__all__ = [
+    "Answers",
+    "QueryEngine",
+    "answer_batch",
+    "join",
+    "join_stores",
+    "merge_answers",
+    "query_batch_compact",
+    "results_of",
+    "validate_pairs",
+    "validate_vertex",
+]
+
+#: A batch's answers: a ``(B, 2)`` int64 array of ``(dist, count)`` rows or,
+#: only when some count exceeds int64, a list of exact Python-int tuples.
+Answers = Union[np.ndarray, "list[tuple[int, int]]"]
+
+
+class JoinStore(Protocol):
+    """What the join needs of a compact store (undirected or directed)."""
+
+    overflow_bound: "int | None"
+
+    @property
+    def n(self) -> int: ...
+
+    def join_views(self) -> tuple[LabelView, LabelView]: ...
 
 
 def validate_vertex(v: int, n: int) -> int:
@@ -59,49 +88,68 @@ def validate_vertex(v: int, n: int) -> int:
         raise QueryError(f"vertex {v} out of range for index over {n} vertices")
     return v
 
-_INT64_MAX = np.iinfo(np.int64).max
 #: Products/sums in the vectorized kernel must stay below this bound.
 _SAFE_LIMIT = 2**62
 
 
-def _scan_overflow_bound(store: CompactLabelIndex) -> int:
+def _scan_overflow_bound(store: JoinStore) -> int:
     """``cmax^2 * max(wmax, 1) * max(lmax, 1)``: the largest value a batch
     over ``store`` can accumulate (one full scan of counts and indptr)."""
-    if store.total_entries() == 0:
+    s_view, t_view = store.join_views()
+    sides = [s_view] if t_view is s_view else [s_view, t_view]
+    views = [view for view in sides if len(view.counts)]
+    if not views:
         return 0
-    cmax = int(np.abs(store.counts).max())
-    wmax = int(store.weight_by_rank.max()) if len(store.weight_by_rank) else 1
-    lmax = int(np.diff(store.indptr).max())
+    cmax = max(int(np.abs(view.counts).max()) for view in views)
+    lmax = max(int(np.diff(view.indptr).max()) for view in views)
+    weights = getattr(store, "weight_by_rank", None)
+    wmax = int(weights.max()) if weights is not None and len(weights) else 1
     return cmax * cmax * max(wmax, 1) * max(lmax, 1)
 
 
-def _batch_is_safe(store: CompactLabelIndex, n_pairs: int) -> bool:
-    """Whether int64 arithmetic cannot overflow for this store and batch."""
+def _store_bound(store: JoinStore) -> int:
+    """The store's cached overflow bound, scanned on first use."""
     bound = store.overflow_bound
     if bound is None:
         # stores are frozen: scan once and cache; two executor threads
         # racing here both write the same int
         bound = store.overflow_bound = _scan_overflow_bound(store)
-    if bound >= _SAFE_LIMIT:
-        return False
-    # pair keys are pair_id * n + hub_rank and must fit int64 as well
-    return n_pairs * max(store.n, 1) < _INT64_MAX
+    return bound
 
 
-#: Pairs per vectorized chunk.  Keeping the key/probe temporaries inside
-#: the cache hierarchy beats one giant fan-out: 512 measured fastest
-#: (~1.5x over 4096) on the bundled generators, and small chunks also
-#: bound peak memory on huge batches.
+def _weighting(store: JoinStore) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``(rank, weight_by_rank)`` when the store carries multiplicities > 1
+    (equivalence-reduced graphs only), else ``None``."""
+    weights = getattr(store, "weight_by_rank", None)
+    if weights is None or not len(weights) or int(weights.max()) <= 1:
+        return None
+    return store.order.rank, weights  # type: ignore[attr-defined]
+
+
+#: Most pairs per vectorized chunk; chunks also bound peak memory on huge
+#: batches, and pair keys ``pair_id * n + hub_rank`` stay far inside int64.
 _BATCH_CHUNK = 512
+#: Label entries (both sides) per chunk: sized so the key/probe
+#: temporaries stay cache-resident whatever the label lengths.  On IN's
+#: ~716 entries per pair that is ~90 pairs per chunk, against 512 pairs of
+#: short FB/GO labels.
+_CHUNK_ENTRIES = 1 << 16
+#: Fewest pairs per chunk, so a batch of huge labels still vectorizes.
+_MIN_CHUNK = 16
+#: Cell budget of the dense ``pair x hub`` int32 probe table (4 MiB); an
+#: index too wide for ``_MIN_CHUNK`` pairs of it probes with
+#: ``np.searchsorted`` instead.
+_TABLE_CELLS = 1 << 20
 
 
 def validate_pairs(pairs: Sequence[tuple[int, int]], n: int) -> np.ndarray:
     """Canonicalise a query batch to an int64 ``(B, 2)`` array.
 
     The one shared validation for every batch entry point (the engine
-    kernel here, the worker pool's dispatch side): shape and vertex-range
-    violations raise :class:`~repro.errors.QueryError` with identical
-    messages everywhere, never a raw numpy error.
+    kernel here, the worker pool's dispatch side, the async bulk path):
+    shape and vertex-range violations raise
+    :class:`~repro.errors.QueryError` with identical messages everywhere,
+    never a raw numpy error.
     """
     try:
         pairs_arr = np.asarray(
@@ -123,8 +171,79 @@ def validate_pairs(pairs: Sequence[tuple[int, int]], n: int) -> np.ndarray:
     return pairs_arr
 
 
+def results_of(pairs_arr: np.ndarray, answers: Answers) -> list[SPCResult]:
+    """Wrap answer rows as :class:`SPCResult` objects (the public edges)."""
+    rows = answers.tolist() if isinstance(answers, np.ndarray) else answers
+    return [
+        SPCResult(s, t, dist, count)
+        for (s, t), (dist, count) in zip(pairs_arr.tolist(), rows)
+    ]
+
+
+def merge_answers(
+    num: int, parts: Sequence[tuple[np.ndarray, Answers]]
+) -> Answers:
+    """Reassemble ``(positions, answers)`` parts into one batch's answers.
+
+    Array parts scatter into one int64 array; the per-position loop runs
+    only when some part holds exact Python-int rows (counts beyond int64).
+    """
+    if all(isinstance(answers, np.ndarray) for _, answers in parts):
+        out = np.empty((num, 2), dtype=np.int64)
+        for positions, answers in parts:
+            out[positions] = answers
+        return out
+    rows: list = [None] * num
+    for positions, answers in parts:
+        entries = answers.tolist() if isinstance(answers, np.ndarray) else answers
+        for position, (dist, count) in zip(positions.tolist(), entries):
+            rows[position] = (dist, count)
+    return rows
+
+
+def join_stores(
+    pairs_arr: np.ndarray, s_store: JoinStore, t_store: "JoinStore | None" = None
+) -> Answers:
+    """Answer validated pairs: ``s``'s label from ``s_store``'s s side,
+    ``t``'s label from ``t_store``'s t side (default: the same store).
+
+    Vectorized when the larger cached overflow bound of the two stores is
+    safe, the exact per-pair path otherwise.
+    """
+    t_store = s_store if t_store is None else t_store
+    s_view = s_store.join_views()[0]
+    t_view = t_store.join_views()[1]
+    weighting = _weighting(s_store)
+    if max(_store_bound(s_store), _store_bound(t_store)) >= _SAFE_LIMIT:
+        return _exact_answers(pairs_arr, s_view, t_view, weighting)
+    return join(pairs_arr, s_view, t_view, weighting)
+
+
+def _exact_answers(
+    pairs_arr: np.ndarray,
+    s_view: LabelView,
+    t_view: LabelView,
+    weighting: "tuple[np.ndarray, np.ndarray] | None",
+) -> Answers:
+    """Per-pair Python-int answers; an int64 array when every count fits."""
+    rank, weights = weighting if weighting is not None else (None, None)
+    rows = [
+        join_pair(s_view, t_view, s, t, rank, weights)
+        for s, t in pairs_arr.tolist()
+    ]
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return rows
+
+
+def answer_batch(store: JoinStore, pairs: Sequence[tuple[int, int]]) -> Answers:
+    """Validate a batch and answer it on one compact store."""
+    return join_stores(validate_pairs(pairs, store.n), store)
+
+
 def query_batch_compact(
-    store: CompactLabelIndex, pairs: Sequence[tuple[int, int]]
+    store: JoinStore, pairs: Sequence[tuple[int, int]]
 ) -> list[SPCResult]:
     """Vectorized batch evaluation over a compact store.
 
@@ -132,56 +251,89 @@ def query_batch_compact(
     possible; answers are always identical to the tuple-merge path.
     """
     pairs_arr = validate_pairs(pairs, store.n)
-    if len(pairs_arr) == 0:
-        return []
-    if not _batch_is_safe(store, len(pairs_arr)):
-        return [store.query(int(a), int(b)) for a, b in pairs_arr]
-    # decide the weighted path once per batch, not per chunk (O(n) scan)
-    weighted = len(store.weight_by_rank) > 0 and int(store.weight_by_rank.max()) > 1
-    results: list[SPCResult] = []
-    for start in range(0, len(pairs_arr), _BATCH_CHUNK):
-        results.extend(
-            _batch_chunk(store, pairs_arr[start : start + _BATCH_CHUNK], weighted)
-        )
-    return results
+    return results_of(pairs_arr, join_stores(pairs_arr, store))
 
 
-def _batch_chunk(
-    store: CompactLabelIndex, pairs_arr: np.ndarray, weighted: bool
-) -> list[SPCResult]:
-    """One validated, overflow-safe chunk of the vectorized batch kernel."""
-    n = store.n
+def join(
+    pairs_arr: np.ndarray,
+    s_view: LabelView,
+    t_view: LabelView,
+    weighting: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> np.ndarray:
+    """The vectorized two-view join: ``(dist, count)`` int64 rows per pair.
+
+    ``pairs_arr`` must be validated and the batch overflow-safe (see
+    :func:`join_stores`).  ``weighting`` is ``(rank, weight_by_rank)`` on
+    equivalence-reduced graphs, ``None`` otherwise.
+    """
+    num = len(pairs_arr)
+    out = np.zeros((num, 2), dtype=np.int64)
+    if num == 0:
+        return out
+    out[:, 0] = UNREACHABLE
+    n = len(s_view.indptr) - 1
     s = pairs_arr[:, 0]
     t = pairs_arr[:, 1]
-    indptr = store.indptr
-    num = len(pairs_arr)
-    lo_s = indptr[s]
-    len_s = indptr[s + 1] - lo_s
-    lo_t = indptr[t]
-    len_t = indptr[t + 1] - lo_t
+    lo_s = s_view.indptr[s]
+    len_s = s_view.indptr[s + 1] - lo_s
+    lo_t = t_view.indptr[t]
+    len_t = t_view.indptr[t + 1] - lo_t
+    per_pair = max(1, int(len_s.sum() + len_t.sum()) // num)
+    chunk = min(_BATCH_CHUNK, num, max(_MIN_CHUNK, _CHUNK_ENTRIES // per_pair))
+    table = None
+    if min(chunk, _MIN_CHUNK) * n <= _TABLE_CELLS:
+        chunk = min(chunk, _TABLE_CELLS // n)
+        table = np.full(chunk * n, -1, dtype=np.int32)
+    for start in range(0, num, chunk):
+        part = slice(start, start + chunk)
+        _join_chunk(
+            out[part], s[part], t[part], lo_s[part], len_s[part], lo_t[part],
+            len_t[part], s_view, t_view, n, weighting, table,
+        )
+    return out
 
+
+def _join_chunk(
+    out: np.ndarray,
+    s: np.ndarray,
+    t: np.ndarray,
+    lo_s: np.ndarray,
+    len_s: np.ndarray,
+    lo_t: np.ndarray,
+    len_t: np.ndarray,
+    s_view: LabelView,
+    t_view: LabelView,
+    n: int,
+    weighting: "tuple[np.ndarray, np.ndarray] | None",
+    table: "np.ndarray | None",
+) -> None:
+    """One chunk of :func:`join`, written into ``out`` (preset unreachable)."""
+    num = len(s)
     pos_s = slice_positions(lo_s, len_s)
     pos_t = slice_positions(lo_t, len_t)
     pid_s = np.repeat(np.arange(num, dtype=np.int64), len_s)
-    pid_t = np.repeat(np.arange(num, dtype=np.int64), len_t)
-    keys_s = pid_s * n + store.hubs[pos_s]
-    keys_t = pid_t * n + store.hubs[pos_t]
-
-    # both key arrays are already sorted and unique, so the common hubs of
-    # every pair fall out of one searchsorted probe (no concat-and-sort)
-    probe = np.searchsorted(keys_t, keys_s)
-    probe_ok = probe < len(keys_t)
-    hit = np.zeros(len(keys_s), dtype=bool)
-    hit[probe_ok] = keys_t[probe[probe_ok]] == keys_s[probe_ok]
-
-    dist_out = np.full(num, UNREACHABLE, dtype=np.int64)
-    count_out = np.zeros(num, dtype=np.int64)
-    match = np.flatnonzero(hit)
+    keys_s = pid_s * n + s_view.hubs[pos_s]
+    keys_t = np.repeat(np.arange(num, dtype=np.int64), len_t) * n + t_view.hubs[pos_t]
+    if table is not None:
+        # dense probe: each t-side key's cell holds its entry index; the
+        # written cells are reset, so the table is clean for the next chunk
+        table[keys_t] = np.arange(len(keys_t), dtype=np.int32)
+        probe = table[keys_s]
+        table[keys_t] = -1
+        match = np.flatnonzero(probe >= 0)
+    else:
+        # both key arrays are sorted and unique, so the common hubs of
+        # every pair fall out of one searchsorted probe (no concat-and-sort)
+        probe = np.searchsorted(keys_t, keys_s)
+        probe_ok = probe < len(keys_t)
+        hit = np.zeros(len(keys_s), dtype=bool)
+        hit[probe_ok] = keys_t[probe[probe_ok]] == keys_s[probe_ok]
+        match = np.flatnonzero(hit)
     if len(match):
         entry_s = pos_s[match]
         entry_t = pos_t[probe[match]]
         pid = pid_s[match]  # nondecreasing: matches inherit the key order
-        dsum = store.dists[entry_s].astype(np.int32) + store.dists[entry_t]
+        dsum = s_view.dists[entry_s].astype(np.int32) + t_view.dists[entry_t]
 
         # per-pair matches are contiguous segments; reduce with reduceat
         seg_mask = np.empty(len(pid), dtype=bool)
@@ -194,23 +346,18 @@ def _batch_chunk(
         best[seg_pid] = seg_best
         at_best = dsum == best[pid]
 
-        contrib = store.counts[entry_s] * store.counts[entry_t]
-        if weighted:  # only equivalence-reduced graphs carry multiplicities
-            hub = store.hubs[entry_s].astype(np.int64)
-            rank = store.order.rank
+        contrib = s_view.counts[entry_s] * t_view.counts[entry_t]
+        if weighting is not None:  # only equivalence-reduced graphs
+            rank, weights = weighting
+            hub = s_view.hubs[entry_s].astype(np.int64)
             internal = (hub != rank[s[pid]]) & (hub != rank[t[pid]])
-            contrib = np.where(internal, contrib * store.weight_by_rank[hub], contrib)
+            contrib = np.where(internal, contrib * weights[hub], contrib)
         contrib *= at_best
-        dist_out[seg_pid] = seg_best
-        count_out[seg_pid] = np.add.reduceat(contrib, seg_start)
-
+        out[seg_pid, 0] = seg_best
+        out[seg_pid, 1] = np.add.reduceat(contrib, seg_start)
     same = s == t
-    dist_out[same] = 0
-    count_out[same] = 1
-    return [
-        SPCResult(int(a), int(b), int(d), int(c))
-        for a, b, d, c in zip(s, t, dist_out, count_out)
-    ]
+    out[same, 0] = 0
+    out[same, 1] = 1
 
 
 def _merge_steps(hubs_s: Sequence[int], hubs_t: Sequence[int]) -> int:

@@ -336,7 +336,8 @@ class ExplicitDtypeRule(Rule):
     arrays hold counts; a platform-defaulted allocation (int32 on Windows,
     float64 from a stray literal) silently changes overflow behaviour and
     breaks the bit-identity contract between engines.  Scope: the files
-    holding the frozen kernels and the store codecs.
+    holding the frozen kernels, the store codecs and the query join (which
+    accumulates count products).
     """
 
     rule_id = "R003"
@@ -349,6 +350,7 @@ class ExplicitDtypeRule(Rule):
         "digraph/fastbuild.py",
         "core/store.py",
         "core/compact.py",
+        "core/engine.py",
     )
     #: allocator -> index of the positional ``dtype`` parameter
     _ALLOCATORS = {

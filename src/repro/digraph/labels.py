@@ -21,14 +21,18 @@ unified versioned ``.npz`` container of :mod:`repro.core.store` (kind
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.compact import LabelView, join_pair
 from repro.core.queries import SPCResult, merge_labels
 from repro.errors import IndexStateError, QueryError
 from repro.graph.traversal import UNREACHABLE
 from repro.ordering.base import VertexOrder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import Answers
 
 __all__ = [
     "CompactDirectedLabelIndex",
@@ -179,7 +183,12 @@ class CompactDirectedLabelIndex:
         "order",
         "indptr_in", "hubs_in", "dists_in", "counts_in",
         "indptr_out", "hubs_out", "dists_out", "counts_out",
+        "overflow_bound",
     )
+
+    #: the label columns, in constructor order (``order`` and the cached
+    #: ``overflow_bound`` are not columns)
+    _COLUMNS = __slots__[1:-1]
 
     #: store-layer payload kind (shared-memory manifests carry it).
     kind = "directed-compact"
@@ -207,6 +216,9 @@ class CompactDirectedLabelIndex:
         self.hubs_out = hubs_out
         self.dists_out = dists_out
         self.counts_out = counts_out
+        #: the batch join's int64 overflow bound, scanned on the first
+        #: batch call (see :mod:`repro.core.engine`).  Not part of equality.
+        self.overflow_bound: int | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -273,11 +285,7 @@ class CompactDirectedLabelIndex:
 
     def nbytes(self) -> int:
         """Actual memory held by the packed arrays."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in self.__slots__
-            if name != "order"
-        )
+        return sum(getattr(self, name).nbytes for name in self._COLUMNS)
 
     def label_in(self, v: int) -> list[tuple[int, int, int]]:
         """``Lin(v)`` decoded with hubs as vertex ids (tuple-index parity)."""
@@ -304,6 +312,13 @@ class CompactDirectedLabelIndex:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def join_views(self) -> tuple[LabelView, LabelView]:
+        """``(s side, t side)`` of the two-view join: ``Lout`` and ``Lin``."""
+        return (
+            LabelView(self.indptr_out, self.hubs_out, self.dists_out, self.counts_out),
+            LabelView(self.indptr_in, self.hubs_in, self.dists_in, self.counts_in),
+        )
+
     def query(self, s: int, t: int) -> SPCResult:
         """Exact directed ``(distance, count)`` — identical to the tuple index."""
         n = self.n
@@ -311,32 +326,9 @@ class CompactDirectedLabelIndex:
             raise QueryError(f"source vertex {s} out of range for index over {n} vertices")
         if not 0 <= t < n:
             raise QueryError(f"target vertex {t} out of range for index over {n} vertices")
-        if s == t:
-            return SPCResult(s, t, 0, 1)
-        lo_s, hi_s = int(self.indptr_out[s]), int(self.indptr_out[s + 1])
-        lo_t, hi_t = int(self.indptr_in[t]), int(self.indptr_in[t + 1])
-        common, idx_s, idx_t = np.intersect1d(
-            self.hubs_out[lo_s:hi_s],
-            self.hubs_in[lo_t:hi_t],
-            assume_unique=True,
-            return_indices=True,
-        )
-        if len(common) == 0:
-            return SPCResult(s, t, UNREACHABLE, 0)
-        dsum = (
-            self.dists_out[lo_s:hi_s][idx_s].astype(np.int64)
-            + self.dists_in[lo_t:hi_t][idx_t].astype(np.int64)
-        )
-        best = int(dsum.min())
-        # Python-int accumulation: count products can exceed int64 even
-        # when every stored count fits (same discipline as the undirected
-        # compact point kernel)
-        total = 0
-        for k in np.flatnonzero(dsum == best):
-            total += int(self.counts_out[lo_s:hi_s][idx_s[k]]) * int(
-                self.counts_in[lo_t:hi_t][idx_t[k]]
-            )
-        return SPCResult(s, t, best, total)
+        out_view, in_view = self.join_views()
+        dist, count = join_pair(out_view, in_view, s, t)
+        return SPCResult(s, t, dist, count)
 
     def spc(self, s: int, t: int) -> int:
         """Number of shortest directed paths ``s -> t``."""
@@ -346,9 +338,17 @@ class CompactDirectedLabelIndex:
         """Directed distance (-1 if unreachable)."""
         return self.query(s, t).dist
 
+    def answer_batch(self, pairs: Sequence[tuple[int, int]]) -> Answers:
+        """``(dist, count)`` rows of many directed queries (the batch join)."""
+        from repro.core.engine import answer_batch  # local: engine imports compact
+
+        return answer_batch(self, pairs)
+
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[SPCResult]:
-        """Evaluate many directed queries in input order."""
-        return [self.query(int(s), int(t)) for s, t in pairs]
+        """Evaluate many directed queries in input order (the batch join)."""
+        from repro.core.engine import query_batch_compact
+
+        return query_batch_compact(self, pairs)
 
     # ------------------------------------------------------------------
     # persistence (unified versioned .npz — see repro.core.store)
@@ -377,8 +377,7 @@ class CompactDirectedLabelIndex:
             return NotImplemented
         return np.array_equal(self.order.order, other.order.order) and all(
             np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-            if name != "order"
+            for name in self._COLUMNS
         )
 
     def __hash__(self) -> int:  # pragma: no cover

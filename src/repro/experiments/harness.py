@@ -469,18 +469,35 @@ def exp_query_batch(
 
     The per-pair column replays the pre-store-layer serving path (a Python
     two-pointer merge over the tuple labels for every pair); the batch
-    column answers the same workload in one call to the vectorized engine
-    kernel over the compact store.
+    column answers the same workload in one call to the vectorized join
+    over the compact store.  Directed keys (``"FB-D"``, ...) build the
+    two-label index and join ``Lout(s)`` with ``Lin(t)``.
     """
+    from repro.digraph.index import DirectedSPCIndex
+    from repro.digraph.labels import spc_query_directed
+    from repro.experiments.datasets import DIRECTED_DATASETS, load_directed_dataset
+
     rows = []
     for key in keys:
-        graph = load_dataset(key)
-        index, _ = _build(graph, "pspc", cache_key=key, num_landmarks=DEFAULT_LANDMARKS)
+        if key in DIRECTED_DATASETS:
+            graph = load_directed_dataset(key)
+            index = DirectedSPCIndex.build(graph, num_landmarks=DEFAULT_LANDMARKS)
+            tuple_labels = index.labels.to_directed_index()
+
+            def loop_query(s: int, t: int):
+                return spc_query_directed(tuple_labels, s, t)
+        else:
+            graph = load_dataset(key)
+            index, _ = _build(graph, "pspc", cache_key=key, num_landmarks=DEFAULT_LANDMARKS)
+            undirected_labels = index.labels  # the seed representation
+
+            def loop_query(s: int, t: int):
+                return spc_query(undirected_labels, s, t)
+
         pairs = random_query_pairs(graph, n_queries, seed=7)
-        tuple_labels = index.labels  # the seed representation
 
         start = time.perf_counter()
-        loop_results = [spc_query(tuple_labels, s, t) for s, t in pairs]
+        loop_results = [loop_query(s, t) for s, t in pairs]
         loop_seconds = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _edge_array(edges: list[tuple[int, int]]) -> np.ndarray:
+    """An edge list as the ``(k, 2)`` int64 array :class:`Graph` canonicalises."""
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p) random graph (edge picked independently with probability ``p``)."""
     if not 0.0 <= p <= 1.0:
@@ -77,7 +82,7 @@ def barabasi_albert(n: int, m_attach: int, seed: int = 0) -> Graph:
         for v in targets:
             edges.append((u, v))
             repeated.extend((u, v))
-    return Graph(n, edges)
+    return Graph(n, _edge_array(edges))
 
 
 def watts_strogatz(n: int, k: int, p: float, seed: int = 0) -> Graph:
@@ -110,7 +115,7 @@ def watts_strogatz(n: int, k: int, p: float, seed: int = 0) -> Graph:
                 rewired.add((u, v))
         else:
             rewired.add((u, v))
-    return Graph(n, sorted(rewired))
+    return Graph(n, _edge_array(sorted(rewired)))
 
 
 def powerlaw_cluster(n: int, m_attach: int, p_triangle: float, seed: int = 0) -> Graph:
@@ -155,7 +160,7 @@ def powerlaw_cluster(n: int, m_attach: int, p_triangle: float, seed: int = 0) ->
             last_target = v
             links += 1
     edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    return Graph(n, edges)
+    return Graph(n, _edge_array(edges))
 
 
 def grid_road_network(
@@ -188,7 +193,7 @@ def grid_road_network(
         c = int(rng.integers(max(cols - 1, 1)))
         if rows > 1 and cols > 1:
             edges.append((vid(r, c), vid(r + 1, c + 1)))
-    return Graph(n, edges)
+    return Graph(n, _edge_array(edges))
 
 
 def random_tree(n: int, seed: int = 0) -> Graph:

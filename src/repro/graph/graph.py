@@ -71,33 +71,48 @@ class Graph:
     # construction helpers
     # ------------------------------------------------------------------
     def _canonical_pairs(self, edges: Iterable[tuple[int, int]]) -> np.ndarray:
-        """Return a deduplicated ``(k, 2)`` array of undirected edges ``u < v``."""
-        if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] == 2:
-            arr = edges.astype(np.int64, copy=False)
-        else:
-            rows = [(int(u), int(v)) for u, v in edges]
-            arr = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-        if arr.size:
-            bad = (arr < 0) | (arr >= self._n)
-            if bad.any():
-                flat = arr[bad]
-                raise VertexError(int(flat[0]), self._n)
-            arr = arr[arr[:, 0] != arr[:, 1]]  # drop self-loops
-            arr = np.sort(arr, axis=1)  # canonical u < v
+        """Return a deduplicated ``(k, 2)`` array of undirected edges ``u < v``,
+        sorted lexicographically."""
+        if not isinstance(edges, (np.ndarray, list, tuple)):
+            edges = list(edges)
+        try:
+            arr = np.asarray(edges, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError(f"edges must be (u, v) integer pairs: {exc}") from None
+        if arr.size == 0:
+            return np.empty((0, 2), dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise GraphError(f"edges must be (u, v) pairs, got shape {arr.shape}")
+        bad = (arr < 0) | (arr >= self._n)
+        if bad.any():
+            flat = arr[bad]
+            raise VertexError(int(flat[0]), self._n)
+        arr = arr[arr[:, 0] != arr[:, 1]]  # drop self-loops
+        arr = np.sort(arr, axis=1)  # canonical u < v
         if not arr.size:
             return np.empty((0, 2), dtype=np.int64)
-        return np.unique(arr, axis=0)
+        if not self._packable():
+            return np.unique(arr, axis=0)
+        # one 1-D key per edge: unique keys sort exactly like unique rows
+        keys = np.unique(arr[:, 0] * self._n + arr[:, 1])
+        return np.stack([keys // self._n, keys % self._n], axis=1)
+
+    def _packable(self) -> bool:
+        """Whether ``u * n + v`` keys of this graph fit int64."""
+        return self._n * self._n < 2**63
 
     def _build_csr(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
         tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((tails, heads))
-        heads = heads[order]
-        tails = tails[order]
+        if self._packable():
+            # arcs are unique, so one argsort of the packed keys orders
+            # them exactly like the (head, tail) lexsort
+            order = np.argsort(heads * self._n + tails)
+        else:
+            order = np.lexsort((tails, heads))
         indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, tails.astype(np.int32)
+        np.cumsum(np.bincount(heads, minlength=self._n), out=indptr[1:])
+        return indptr, tails[order].astype(np.int32)
 
     def _validate_weights(self, weights: Sequence[int] | None) -> np.ndarray:
         if weights is None:

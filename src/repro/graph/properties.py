@@ -43,23 +43,33 @@ class GraphStats:
 
 
 def connected_components(graph: Graph) -> np.ndarray:
-    """Component id per vertex (ids are dense, assigned in discovery order)."""
-    comp = np.full(graph.n, -1, dtype=np.int64)
-    indptr, indices = graph.indptr, graph.indices
-    cid = 0
-    for s in range(graph.n):
-        if comp[s] >= 0:
-            continue
-        comp[s] = cid
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(int(v))
-        cid += 1
-    return comp
+    """Component id per vertex (ids are dense, assigned in discovery order).
+
+    Vectorized min-label propagation: every vertex ends labelled with the
+    smallest vertex id of its component (hook each root onto the smallest
+    neighbouring label, then pointer-jump to the roots, until no edge joins
+    two labels).  Numbering components by that minimum is exactly the order
+    in which a scan over ``0..n-1`` discovers them.
+    """
+    n = graph.n
+    label = np.arange(n, dtype=np.int64)
+    heads = np.repeat(label, np.diff(graph.indptr))
+    tails = graph.indices.astype(np.int64)
+    while True:
+        low, high = label[heads], label[tails]
+        cross = low != high
+        if not cross.any():
+            break
+        # hook: each root takes the smallest label across its edges; roots
+        # only ever point at smaller ids, so no cycle can form
+        np.minimum.at(label, np.maximum(low[cross], high[cross]),
+                      np.minimum(low[cross], high[cross]))
+        while True:  # pointer jumping: every vertex straight to its root
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return np.unique(label, return_inverse=True)[1].astype(np.int64)
 
 
 def largest_component(graph: Graph) -> tuple[Graph, np.ndarray]:
@@ -67,13 +77,15 @@ def largest_component(graph: Graph) -> tuple[Graph, np.ndarray]:
 
     Returns ``(subgraph, old_of_new)`` (see :meth:`Graph.subgraph`).  The
     paper evaluates on connected graphs; the dataset generators use this to
-    guarantee connectivity.
+    guarantee connectivity.  A connected graph is returned as is.
     """
     if graph.n == 0:
         return graph, np.empty(0, dtype=np.int64)
     comp = connected_components(graph)
     counts = np.bincount(comp)
     best = int(np.argmax(counts))
+    if counts[best] == graph.n:
+        return graph, np.arange(graph.n, dtype=np.int64)
     keep = np.flatnonzero(comp == best)
     return graph.subgraph(keep)
 

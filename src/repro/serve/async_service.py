@@ -38,9 +38,17 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.core.engine import validate_vertex
+import numpy as np
+
+from repro.core.engine import (
+    Answers,
+    merge_answers,
+    results_of,
+    validate_pairs,
+    validate_vertex,
+)
 from repro.core.queries import SPCResult
 from repro.errors import DeadlineError, OverloadError, QueryError, ServeError
 from repro.obs.trace import TraceContext, Tracer
@@ -159,7 +167,7 @@ class AsyncQueryService:
         if tracer is not None and self.pool is not None:
             self.pool.tracer = tracer
         target = self.pool or counter
-        self._dispatch = target.query_batch
+        self._dispatch = _answerer(target)
         self._n = int(getattr(target, "n", 0))
         self._pending: "list[_Entry]" = []
         #: max_wait bound on queries accumulating behind an in-flight batch
@@ -351,12 +359,17 @@ class AsyncQueryService:
         for ctx in traces:
             ctx.span("admission_wait", flush_start - ctx.enqueued)
             ctx.annotate(batch=len(batch), flush=reason)
-        pairs = [(s, t) for s, t, _, _, _ in batch]
+        pairs_arr = np.array(
+            [(s, t) for s, t, _, _, _ in batch], dtype=np.int64
+        ).reshape(-1, 2)
         try:
             # the first traced query represents the batch at the pool: its
             # id rides the pipes, its context collects shard attribution
-            answers = await self._run_kernel(
-                pairs, reason, trace=traces[0] if traces else None
+            answers = results_of(
+                pairs_arr,
+                await self._run_kernel(
+                    pairs_arr, reason, trace=traces[0] if traces else None
+                ),
             )
         except BaseException as exc:  # noqa: BLE001 - delivered to every waiter
             for _, _, future, _, ctx in batch:
@@ -382,33 +395,31 @@ class AsyncQueryService:
             if not future.done():
                 future.set_result(answer)
 
-    def _pool_dispatch(
-        self, pairs: list[tuple[int, int]], trace: "TraceContext"
-    ) -> list[SPCResult]:
+    def _pool_dispatch(self, pairs_arr: np.ndarray, trace: "TraceContext") -> Answers:
         """Synchronous traced pool dispatch (runs on an executor thread)."""
         assert self.pool is not None
-        return self.pool.query_batch(pairs, trace=trace)
+        return self.pool.answer_batch(pairs_arr, trace=trace)
 
     async def _run_kernel(
         self,
-        pairs: list[tuple[int, int]],
+        pairs_arr: np.ndarray,
         reason: str,
         trace: "TraceContext | None" = None,
-    ) -> list[SPCResult]:
+    ) -> Answers:
         """One timed kernel call, dispatched off the event loop."""
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
         if trace is not None and self.pool is not None:
             answers = await loop.run_in_executor(
-                None, self._pool_dispatch, pairs, trace
+                None, self._pool_dispatch, pairs_arr, trace
             )
         else:
-            answers = await loop.run_in_executor(None, self._dispatch, pairs)
+            answers = await loop.run_in_executor(None, self._dispatch, pairs_arr)
         elapsed = time.perf_counter() - start
         if trace is not None and self.pool is None:
             # no pipe leg without a pool: the whole dispatch is kernel time
             trace.span("kernel", elapsed)
-        self._metrics.record_flush(reason, elapsed, len(pairs))
+        self._metrics.record_flush(reason, elapsed, len(pairs_arr))
         return answers
 
     # ------------------------------------------------------------------
@@ -422,12 +433,28 @@ class AsyncQueryService:
     ) -> list[SPCResult]:
         """Answer a whole workload, bypassing admission batching.
 
-        Point-path stragglers are flushed first so batches stay aligned;
-        the bulk path bypasses the LRU cache (it exists for hot repeated
-        point pairs, not for sweeps).  Over a pool the whole workload is
-        **one** :meth:`WorkerPool.query_batch` dispatch — the pool already
-        splits it by worker and home shard, so chunking here would only
-        add pipe round trips.  Dispatching onto a counter directly runs
+        :meth:`answer_batch` wrapped into one
+        :class:`~repro.core.queries.SPCResult` per pair, in input order.
+        """
+        pairs_arr, answers = await self.answer_batch(pairs, deadline_ms=deadline_ms)
+        return results_of(pairs_arr, answers)
+
+    async def answer_batch(
+        self,
+        pairs: Sequence[tuple[int, int]],
+        *,
+        deadline_ms: float | None = None,
+    ) -> tuple[np.ndarray, Answers]:
+        """The bulk path: validated ``(B, 2)`` pairs and their
+        ``(dist, count)`` rows, bypassing admission batching.
+
+        The batch is validated once, as an array.  Point-path stragglers
+        are flushed first so batches stay aligned; the bulk path bypasses
+        the LRU cache (it exists for hot repeated point pairs, not for
+        sweeps).  Over a pool the whole workload is **one**
+        :meth:`WorkerPool.answer_batch` dispatch — the pool already splits
+        it by worker and home shard, so chunking here would only add pipe
+        round trips.  Dispatching onto a counter directly runs
         ``batch_size``-pair chunks.
 
         ``deadline_ms`` (default: the service budget) bounds the whole
@@ -437,26 +464,27 @@ class AsyncQueryService:
         """
         if self._closed:
             raise QueryError("AsyncQueryService is closed")
-        workload = [
-            (validate_vertex(s, self._n), validate_vertex(t, self._n))
-            for s, t in pairs
-        ]
-        if not workload:
-            return []
+        pairs_arr = validate_pairs(pairs, self._n)
+        total = len(pairs_arr)
+        if total == 0:
+            return pairs_arr, np.empty((0, 2), dtype=np.int64)
         deadline = self._absolute_deadline(deadline_ms)
         await self.flush()
-        chunk_size = len(workload) if self.pool is not None else self.batch_size
-        results: list[SPCResult] = []
-        for start in range(0, len(workload), chunk_size):
+        chunk_size = total if self.pool is not None else self.batch_size
+        parts: list[tuple[np.ndarray, Answers]] = []
+        for start in range(0, total, chunk_size):
             if deadline is not None and time.monotonic() >= deadline:
-                self._metrics.deadline_shed += len(workload) - start
+                self._metrics.deadline_shed += total - start
                 raise DeadlineError(
-                    f"batch of {len(workload)} missed its deadline after "
+                    f"batch of {total} missed its deadline after "
                     f"{start} answered queries"
                 )
-            chunk = workload[start : start + chunk_size]
-            results.extend(await self._run_kernel(chunk, "bulk"))
-        return results
+            stop = min(start + chunk_size, total)
+            answers = await self._run_kernel(pairs_arr[start:stop], "bulk")
+            parts.append((np.arange(start, stop, dtype=np.int64), answers))
+        if len(parts) == 1:
+            return pairs_arr, parts[0][1]
+        return pairs_arr, merge_answers(total, parts)
 
     # ------------------------------------------------------------------
     # flushing & lifecycle
@@ -555,3 +583,20 @@ class AsyncQueryService:
             f"max_wait={self.max_wait}, batches={self._metrics.batches}, "
             f"queries={self._metrics.queries})"
         )
+
+
+def _answerer(target: object) -> "Callable[[np.ndarray], Answers]":
+    """The dispatch target's ``(dist, count)``-rows entry point.
+
+    Stores, fleets and pools answer with arrays (``answer_batch``); any
+    other counter is adapted from its ``query_batch`` results.
+    """
+    method = getattr(target, "answer_batch", None)
+    if method is not None:
+        return method
+
+    def via_results(pairs_arr: np.ndarray) -> Answers:
+        results = target.query_batch(pairs_arr.tolist())  # type: ignore[attr-defined]
+        return [(r.dist, r.count) for r in results]
+
+    return via_results

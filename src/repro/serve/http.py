@@ -35,12 +35,16 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import signal
 import sys
 import time
 from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
+import numpy as np
+
+from repro.core.engine import Answers
 from repro.errors import DeadlineError, OverloadError, QueryError, ReproError, ServeError
 from repro.obs.trace import Tracer, new_trace_id
 from repro.serve.async_service import AsyncQueryService
@@ -55,6 +59,34 @@ _MAX_BODY = 32 * 1024 * 1024
 #: idle and half-open sockets are dropped instead of pinning a task+fd
 #: on the long-running server.
 _READ_TIMEOUT = 30.0
+
+#: ``GET /query``'s ``deadline_ms``: ASCII digits with an optional
+#: ``.digits`` fraction (``float()`` would also take "1_0", "+5", "1e3",
+#: "nan" and surrounding spaces).
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+#: One ``/query_batch`` result object, formatted exactly as ``json.dumps``
+#: writes ``{"s": s, "t": t, "dist": dist, "count": count}``.
+_RESULT = '{"s": %d, "t": %d, "dist": %d, "count": %d}'
+
+
+def encode_results(pairs_arr: np.ndarray, answers: Answers) -> bytes:
+    """The ``/query_batch`` response body, straight from the answer rows.
+
+    Byte-identical to ``json.dumps({"results": [{"s": .., "t": ..,
+    "dist": .., "count": ..}, ...]})``, counts beyond int64 included,
+    without building a dict per pair.
+    """
+    if isinstance(answers, np.ndarray):
+        flat = np.concatenate([pairs_arr, answers], axis=1).ravel().tolist()
+    else:  # exact Python-int rows (counts beyond int64)
+        flat = [
+            value
+            for (s, t), (dist, count) in zip(pairs_arr.tolist(), answers)
+            for value in (s, t, dist, count)
+        ]
+    rows = ", ".join([_RESULT] * len(pairs_arr)) % tuple(flat)
+    return f'{{"results": [{rows}]}}'.encode()
 
 
 class _HttpError(ServeError):
@@ -134,6 +166,9 @@ class HttpFrontend:
         if isinstance(body, str):  # text exposition (/metrics)
             payload = body.encode()
             content_type = "text/plain; version=0.0.4; charset=utf-8"
+        elif isinstance(body, bytes):  # pre-encoded JSON (/query_batch)
+            payload = body
+            content_type = "application/json"
         else:
             payload = json.dumps(body).encode()
             content_type = "application/json"
@@ -179,12 +214,12 @@ class HttpFrontend:
             name, _, value = header.partition(":")
             lowered = name.strip().lower()
             if lowered == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise _HttpError(400, f"bad Content-Length {value.strip()!r}") from None
-                if content_length < 0:
-                    raise _HttpError(400, f"bad Content-Length {content_length}")
+                # ASCII digits only: int() would also frame "+19" or
+                # "1_9" as a 19-byte body
+                raw = value.strip()
+                if not (raw.isascii() and raw.isdigit()):
+                    raise _HttpError(400, f"bad Content-Length {raw!r}")
+                content_length = int(raw)
             elif lowered == "x-repro-trace-id":
                 trace_header = value.strip() or None
         if content_length > _MAX_BODY:
@@ -307,11 +342,10 @@ class HttpFrontend:
         values = query.get("deadline_ms")
         if not values:
             return None
-        try:
-            deadline_ms = float(values[0])
-        except ValueError:
-            raise _HttpError(400, "parameter 'deadline_ms' must be a number") from None
-        if not 0 < deadline_ms <= sys.float_info.max:  # also refuses nan, inf
+        if not _DECIMAL.fullmatch(values[0]):
+            raise _HttpError(400, "parameter 'deadline_ms' must be a number")
+        deadline_ms = float(values[0])
+        if not 0 < deadline_ms <= sys.float_info.max:  # also refuses overflow to inf
             raise _HttpError(400, "parameter 'deadline_ms' must be positive")
         return deadline_ms
 
@@ -333,7 +367,7 @@ class HttpFrontend:
             {"X-Repro-Trace-Id": trace_id},
         )
 
-    async def _query_batch(self, body: bytes) -> tuple[int, dict, dict]:
+    async def _query_batch(self, body: bytes) -> tuple[int, bytes, dict]:
         try:
             decoded = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:
@@ -362,12 +396,10 @@ class HttpFrontend:
             ):
                 raise _HttpError(400, '"deadline_ms" must be a positive number')
             deadline_ms = float(deadline_ms)
-        results = await self.service.query_batch(workload, deadline_ms=deadline_ms)
-        return 200, {
-            "results": [
-                {"s": r.s, "t": r.t, "dist": r.dist, "count": r.count} for r in results
-            ]
-        }, {}
+        pairs_arr, answers = await self.service.answer_batch(
+            workload, deadline_ms=deadline_ms
+        )
+        return 200, encode_results(pairs_arr, answers), {}
 
 
 async def serve(

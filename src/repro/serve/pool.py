@@ -48,7 +48,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core import store as store_module
+from repro.core.compact import CompactLabelIndex
+from repro.core.engine import Answers, merge_answers, results_of, validate_pairs
 from repro.core.queries import SPCResult
+from repro.digraph.labels import CompactDirectedLabelIndex
 from repro.errors import QueryError, ServeError
 from repro.serve.faults import FaultInjected, FaultPlan
 from repro.serve.router import GatherEvaluator, split_by_home_shard
@@ -89,11 +92,13 @@ def _worker_main(
     Protocol over the duplex pipe: parent sends an ``(s, t)`` int64 array
     (one shard), a ``(shard, trace_id)`` tuple when the batch carries a
     trace, or ``None`` (shutdown); worker answers
-    ``("ok", results_int64_array, kernel_seconds)`` where the array holds
-    one ``(dist, count)`` row per pair — with the trace id echoed as a
-    fourth element when the task carried one — or ``("err", message)``
-    when the kernel raised.  Untraced batches keep the original 3-element
-    shape, so mixed-version parent/worker pairs stay compatible.
+    ``("ok", answers, kernel_seconds)`` where ``answers`` is the join's
+    ``(B, 2)`` int64 array of ``(dist, count)`` rows, straight from the
+    kernel (exact Python-int tuples only when a count exceeds int64) —
+    with the trace id echoed as a fourth element when the task carried
+    one — or ``("err", message)`` when the kernel raised.  Untraced
+    batches keep the original 3-element shape, so mixed-version
+    parent/worker pairs stay compatible.
 
     ``plan`` is the parent's resolved :class:`FaultPlan`; ``batch_number``
     counts this process's life only (a respawn starts over at 1), so a
@@ -109,12 +114,13 @@ def _worker_main(
     """
     segment: ShmIndexSegment | None = None
     fleet: ShmSegmentFleet | None = None
+    evaluator: "GatherEvaluator | CompactLabelIndex | CompactDirectedLabelIndex"
     if store_module.is_fleet_manifest(manifest):
         fleet = ShmSegmentFleet.attach(manifest)
-        store: object = GatherEvaluator(fleet)
+        evaluator = GatherEvaluator(fleet)
     else:
         segment = ShmIndexSegment.attach(manifest)
-        store = segment.store
+        evaluator = segment.store
     conn.send(("ready", os.getpid()))
     batch_number = 0
     try:
@@ -147,19 +153,8 @@ def _worker_main(
                         f"poisoned shard (worker {worker_index}, batch {batch_number})"
                     )
                 start = time.perf_counter()
-                results = store.query_batch(task)
+                payload = evaluator.answer_batch(task)
                 elapsed = time.perf_counter() - start
-                try:
-                    payload = np.fromiter(
-                        (x for r in results for x in (r.dist, r.count)),
-                        dtype=np.int64,
-                        count=2 * len(results),
-                    ).reshape(-1, 2)
-                except OverflowError:
-                    # a count product beyond int64 (the kernels accumulate
-                    # in Python ints): ship plain tuples instead — slower,
-                    # but answers stay identical to the single-process path
-                    payload = [(r.dist, r.count) for r in results]
             except Exception as exc:  # noqa: BLE001 - forwarded to the parent
                 conn.send(("err", f"{type(exc).__name__}: {exc}"))
             else:
@@ -168,7 +163,7 @@ def _worker_main(
                 else:
                     conn.send(("ok", payload, elapsed, trace_id))
     finally:
-        store = None
+        del evaluator  # drop the shm views before closing the mappings
         conn.close()
         if fleet is not None:
             fleet.close()
@@ -264,7 +259,9 @@ class WorkerPool:
                 self._owns_fleet = True
             self._fleet = fleet
             self._n = fleet.n
-            self._local_eval: object = GatherEvaluator(fleet)
+            self._local_eval: (
+                "GatherEvaluator | CompactLabelIndex | CompactDirectedLabelIndex"
+            ) = GatherEvaluator(fleet)
         else:
             if segment is None:
                 if counter is None:
@@ -485,7 +482,7 @@ class WorkerPool:
 
     def _recv_shard(
         self, slot: _WorkerSlot, shard: np.ndarray, trace_id: "str | None" = None
-    ) -> "tuple[object, float]":
+    ) -> "tuple[Answers, float]":
         """Collect one shard's ``(payload, kernel_seconds)``, resubmitting
         through a crash."""
         while True:
@@ -555,25 +552,21 @@ class WorkerPool:
         shard: np.ndarray,
         rows: "list[dict] | None" = None,
         shard_index: int = -1,
-    ) -> list[tuple[int, int]]:
+    ) -> Answers:
         """Answer a sub-batch in-process on the parent's own evaluator.
 
         The degradation endpoint: bit-identical to a worker's kernel (the
         same store in single-segment mode, a parent-side
         :class:`~repro.serve.router.GatherEvaluator` over the same fleet in
-        sharded mode), just on the dispatching thread.  Returns the
-        plain-tuple payload form so reassembly treats it exactly like a
-        worker's overflow reply.
+        sharded mode), just on the dispatching thread.  Returns the same
+        answer rows a worker would send.
         """
         self._fallback_queries += len(shard)
         if 0 <= shard_index < len(self._shard_fallback):
             self._shard_fallback[shard_index] += len(shard)
         self._note("fallback_shard", pairs=len(shard), shard=shard_index)
         start = time.perf_counter()
-        payload = [
-            (r.dist, r.count)
-            for r in self._local_eval.query_batch(shard)  # type: ignore[attr-defined]
-        ]
+        payload = self._local_eval.answer_batch(shard)
         if rows is not None:
             row = {
                 "worker": -1,
@@ -590,19 +583,31 @@ class WorkerPool:
     def query_batch(
         self, pairs: Sequence[tuple[int, int]], trace: object = None
     ) -> list[SPCResult]:
-        """Evaluate a workload sharded across the live workers, in input order.
+        """Evaluate a workload across the live workers, as result objects.
+
+        :meth:`answer_batch` wrapped into one
+        :class:`~repro.core.queries.SPCResult` per pair, in input order.
+        """
+        pairs_arr = validate_pairs(pairs, self._n)
+        return results_of(pairs_arr, self.answer_batch(pairs_arr, trace=trace))
+
+    def answer_batch(
+        self, pairs: Sequence[tuple[int, int]], trace: object = None
+    ) -> Answers:
+        """``(dist, count)`` rows of a workload sharded across the live
+        workers, in input order.
 
         The batch is split contiguously into ``ceil(B / live)``-sized
         shards, one per surviving (non-retired) worker, evaluated
-        concurrently, and reassembled — answers are identical to one
-        ``query_batch`` call on the published store.  A sharded pool routes
-        each pair to its home shard's live owners first (see
-        :meth:`_plan`); a shard whose owners all retired is answered by
-        the parent's gather evaluator, per shard.  A slot retiring
-        mid-batch (crash streak exhausted) hands its orphaned sub-batch to
-        the in-process fallback instead of failing the request; with every
-        slot retired the whole batch runs in-process and the pool reports
-        ``critical`` health.
+        concurrently, and reassembled by batch position into one int64
+        array — answers are identical to one ``query_batch`` call on the
+        published store.  A sharded pool routes each pair to its home
+        shard's live owners first (see :meth:`_plan`); a shard whose
+        owners all retired is answered by the parent's gather evaluator,
+        per shard.  A slot retiring mid-batch (crash streak exhausted)
+        hands its orphaned sub-batch to the in-process fallback instead of
+        failing the request; with every slot retired the whole batch runs
+        in-process and the pool reports ``critical`` health.
 
         ``trace`` is an optional :class:`repro.obs.trace.TraceContext`:
         when given, its id rides the pipe protocol to every worker and
@@ -611,11 +616,9 @@ class WorkerPool:
         critical-path worker kernel time and the residual round-trip
         overhead.
         """
-        from repro.core.engine import validate_pairs
-
         pairs_arr = validate_pairs(pairs, self._n)
         if len(pairs_arr) == 0:
-            return []
+            return np.empty((0, 2), dtype=np.int64)
         rows: "list[dict] | None" = [] if trace is not None else None
         trace_id = getattr(trace, "trace_id", None) if trace is not None else None
         dispatch_start = time.perf_counter()
@@ -627,37 +630,22 @@ class WorkerPool:
                 # the whole pool is gone: serve degraded rather than dead
                 self._fallback_batches += 1
                 positions_all = np.arange(len(pairs_arr), dtype=np.int64)
-                payloads: list[tuple[np.ndarray, object]] = [
+                payloads: list[tuple[np.ndarray, Answers]] = [
                     (positions_all, self._local_payload(pairs_arr, rows))
                 ]
-                self._batches += 1
-                self._queries += len(pairs_arr)
             else:
                 payloads = self._dispatch_live(
                     pairs_arr, live, rows=rows, trace_id=trace_id
                 )
-                self._batches += 1
-                self._queries += len(pairs_arr)
+            self._batches += 1
+            self._queries += len(pairs_arr)
         if trace is not None and rows is not None:
             total = time.perf_counter() - dispatch_start
             kernel = max((row["kernel_ms"] / 1e3 for row in rows), default=0.0)
             trace.span("kernel", kernel)
             trace.span("pipe", max(total - kernel, 0.0))
             trace.annotate(shards=rows)
-        answers: "list[tuple[int, int] | None]" = [None] * len(pairs_arr)
-        for positions, payload in payloads:
-            if isinstance(payload, np.ndarray):
-                entries: Iterable[tuple[int, int]] = zip(
-                    payload[:, 0].tolist(), payload[:, 1].tolist()
-                )
-            else:  # overflow or in-process fallback: plain (dist, count) tuples
-                entries = payload  # type: ignore[assignment]
-            for position, entry in zip(positions.tolist(), entries):
-                answers[position] = entry
-        return [
-            SPCResult(int(s), int(t), d, c)
-            for (s, t), (d, c) in zip(pairs_arr, answers)  # type: ignore[misc]
-        ]
+        return merge_answers(len(pairs_arr), payloads)
 
     def _plan(
         self, pairs_arr: np.ndarray, live: list[_WorkerSlot]
@@ -666,7 +654,8 @@ class WorkerPool:
 
         Single-segment mode splits contiguously into ``ceil(B / live)``
         chunks (``shard`` is ``-1``).  Sharded mode first routes each pair
-        to its home shard (the shard owning ``min(s, t)``), then splits
+        to its home shard (parity routing, see
+        :func:`~repro.serve.router.home_shards`), then splits
         each shard's pairs contiguously across that shard's live owners.
         A shard with no live owner yields a ``(None, ...)`` task that the
         dispatcher answers on the parent's evaluator — the per-shard
@@ -702,7 +691,7 @@ class WorkerPool:
         live: list[_WorkerSlot],
         rows: "list[dict] | None" = None,
         trace_id: "str | None" = None,
-    ) -> "list[tuple[np.ndarray, object]]":
+    ) -> "list[tuple[np.ndarray, Answers]]":
         """Run the dispatch plan over ``live`` slots; returns
         ``(positions, payload)`` per task.
 
@@ -739,7 +728,7 @@ class WorkerPool:
             except BaseException as exc:  # noqa: BLE001
                 failure = exc
                 break
-        payload_at: dict[int, object] = {}
+        payload_at: dict[int, Answers] = {}
         for task_id, slot, sub_pairs, sent_at in sent:
             shard_index = assignments[task_id][3]
             if failure is None:

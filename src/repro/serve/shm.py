@@ -28,7 +28,9 @@ import atexit
 import json
 import secrets
 import shutil
+import sys
 import tempfile
+import threading
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
@@ -74,6 +76,38 @@ atexit.register(_cleanup_live_segments)
 
 def _aligned(nbytes: int) -> int:
     return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
+
+
+#: Serialises untracked opens: only one thread swaps the tracker hook.
+_UNTRACKED_LOCK = threading.Lock()
+
+
+def _open_untracked(name: str) -> shared_memory.SharedMemory:
+    """Open an existing block without registering it with the resource tracker.
+
+    The publisher owns the unlink.  A spawned attacher shares its parent's
+    tracker, so registering there and unregistering again (the old way)
+    erased the *publisher's* registration, and the publisher's unlink then
+    made the tracker print a ``KeyError`` traceback.  Python 3.13 has
+    ``track=False``; older versions skip the registration of this one
+    call (other threads keep registering normally).
+    """
+    if sys.version_info >= (3, 13):  # pragma: no cover - newer interpreters
+        return shared_memory.SharedMemory(name=name, track=False)
+    opener = threading.get_ident()
+    with _UNTRACKED_LOCK:
+        register = resource_tracker.register
+
+        def skip_opener(resource: str, rtype: str) -> None:
+            if threading.get_ident() != opener:
+                register(resource, rtype)
+
+        # SharedMemory looks the hook up on the module at call time
+        setattr(resource_tracker, "register", skip_opener)
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            setattr(resource_tracker, "register", register)
 
 
 def _flat_store(counter: object) -> "CompactLabelIndex | CompactDirectedLabelIndex":
@@ -254,18 +288,13 @@ class ShmArrayBlock:
                 f"than this build understands ({_MANIFEST_VERSION})"
             )
         try:
-            shm = shared_memory.SharedMemory(name=manifest["shm_name"])
+            # the attaching side must not let a resource tracker count the
+            # segment: the publisher owns the unlink
+            shm = _open_untracked(manifest["shm_name"])
         except (OSError, ValueError, KeyError) as exc:
             raise ServeError(
                 f"cannot attach shm segment {manifest.get('shm_name')!r}: {exc}"
             ) from exc
-        # the attaching side must not let its resource tracker count the
-        # segment: the publisher owns the unlink, and double-tracking makes
-        # Python warn about (and try to clean) "leaked" segments at exit
-        try:  # pragma: no cover - tracker internals vary across versions
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
         return shm, dict(manifest)
 
     def _build_views(self, writable: bool) -> dict[str, np.ndarray]:

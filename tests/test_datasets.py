@@ -70,3 +70,33 @@ class TestQueryWorkload:
         pairs = random_query_pairs(g, 25, seed=2)
         assert len(pairs) == 25
         assert all(0 <= s < g.n and 0 <= t < g.n for s, t in pairs)
+
+
+#: sha1 of ``indptr`` + ``indices`` + ``vertex_weights`` bytes of every
+#: registry graph: the load path may get faster, never different.
+REGISTRY_DIGESTS = {
+    "FB": "468f1fdfd8e6836ba545c9fd4661ff6b92527a8d",
+    "GW": "d843e7821691a7793781509ab0d584cf8f56c70a",
+    "WI": "77f9ec787b3e1f48e288b091d570b40897093e87",
+    "GO": "f35f8732bc9ae0a3bf74e0fa65f4a7b4dc603ef0",
+    "DB": "7c2416572fd8b2536af264c6189d1ac88722bd6c",
+    "BE": "c645ac1e6f943697605528349f006586312fd87b",
+    "YT": "eef1276e34c900946c3efb66695dd83297b74652",
+    "PE": "c6585fd4a03c2290c827383993a3c3885d3c91a2",
+    "FL": "ceb43d14709a20db625301b8a60ee95dd8016026",
+    "IN": "cb987157d2399c5f1715cf8edb9f7f4f98ea06e7",
+    "ROAD": "d32cd4af49a5474b93c5ebfbe9f6acaf5198bf53",
+}
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY_DIGESTS))
+def test_registry_graphs_are_pinned(key):
+    import hashlib
+
+    import numpy as np
+
+    graph = load_dataset(key)
+    digest = hashlib.sha1()
+    for array in (graph.indptr, graph.indices, graph.vertex_weights):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == REGISTRY_DIGESTS[key]

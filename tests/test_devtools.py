@@ -227,6 +227,7 @@ class TestExplicitDtypeRule:
             "src/repro/digraph/fastbuild.py",
             "src/repro/core/store.py",
             "src/repro/core/compact.py",
+            "src/repro/core/engine.py",
         ):
             assert lines_of("x = np.empty(3)\n", path, "R003") == [1]
         assert hits("x = np.empty(3)\n", "src/repro/graph/graph.py", "R003") == []

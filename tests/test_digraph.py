@@ -16,6 +16,13 @@ from repro.digraph import (
     spc_pair_directed,
     spc_query_directed,
 )
+from repro.digraph.generators import (
+    directed_barabasi_albert,
+    directed_cycle,
+    directed_grid_road_network,
+    directed_powerlaw_cluster,
+    directed_watts_strogatz,
+)
 from repro.errors import GraphError, IndexBuildError, QueryError, VertexError
 from repro.graph.traversal import UNREACHABLE
 
@@ -195,3 +202,35 @@ class TestDirectedFacade:
         from repro.digraph.labels import DirectedLabelIndex
 
         assert DirectedLabelIndex.load(path) == index.labels
+
+
+class TestDirectedBatchJoin:
+    """``CompactDirectedLabelIndex.query_batch`` is the two-view join of
+    ``Lout(s)`` and ``Lin(t)``; it must equal per-pair ``query`` (and the
+    tuple kernel) on every directed generator family."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: directed_barabasi_albert(120, 3, seed=5),
+            lambda: directed_watts_strogatz(90, 6, 0.2, seed=6),
+            lambda: directed_powerlaw_cluster(110, 3, 0.5, seed=7),
+            lambda: directed_grid_road_network(8, 9, extra_edges=6, seed=8),
+            lambda: directed_cycle(25),
+        ],
+        ids=["barabasi_albert", "watts_strogatz", "powerlaw_cluster", "grid", "cycle"],
+    )
+    def test_batch_equals_per_pair_queries(self, make):
+        from repro.digraph.labels import CompactDirectedLabelIndex
+
+        graph = make()
+        labels = DirectedSPCIndex.build(graph).labels
+        assert isinstance(labels, CompactDirectedLabelIndex)
+        tuple_labels = labels.to_directed_index()
+        rng = np.random.default_rng(graph.n)
+        pairs = [(int(s), int(t)) for s, t in rng.integers(graph.n, size=(400, 2))]
+        pairs += [(0, 0), (graph.n - 1, 0)]
+        batch = labels.query_batch(pairs)
+        assert batch == [labels.query(s, t) for s, t in pairs]
+        assert batch == [spc_query_directed(tuple_labels, s, t) for s, t in pairs]
+        assert labels.overflow_bound is not None  # cached by the first batch

@@ -11,7 +11,7 @@ from repro.core.engine import QueryEngine, query_batch_compact
 from repro.core.index import PSPCIndex
 from repro.core.queries import spc_query, spc_query_with_cost
 from repro.errors import QueryError
-from repro.graph.generators import barabasi_albert
+from repro.graph.generators import barabasi_albert, grid_road_network, watts_strogatz
 from repro.graph.graph import Graph
 
 
@@ -98,15 +98,17 @@ class TestVectorizedBatch:
         assert [r.count for r in results] == [5, 1, 1]
 
     def test_overflow_guard_falls_back(self, built, monkeypatch):
+        # the exact fallback is the per-pair Python-int kernel that also
+        # serves CompactLabelIndex.query
         _, labels, compact = built
         calls = {"per_pair": 0}
-        original = CompactLabelIndex.query
+        original = engine_module.join_pair
 
-        def counting_query(self, s, t):
+        def counting_join_pair(*args):
             calls["per_pair"] += 1
-            return original(self, s, t)
+            return original(*args)
 
-        monkeypatch.setattr(CompactLabelIndex, "query", counting_query)
+        monkeypatch.setattr(engine_module, "join_pair", counting_join_pair)
         monkeypatch.setattr(engine_module, "_SAFE_LIMIT", 1)  # everything "unsafe"
         pairs = [(0, 5), (3, 9)]
         expected = [spc_query(labels, s, t) for s, t in pairs]
@@ -134,6 +136,54 @@ class TestVectorizedBatch:
         assert twin == compact and twin.overflow_bound is None
         assert QueryEngine(twin).query_batch(pairs) == expected
         assert len(scans) == 2 and scans[1] is twin
+
+
+class TestJoinPaths:
+    """The dense probe table and the searchsorted probe, each forced."""
+
+    @staticmethod
+    def _graphs():
+        rng = np.random.default_rng(41)
+        yield barabasi_albert(140, 4, seed=3)
+        yield watts_strogatz(90, 6, 0.2, seed=6)
+        yield grid_road_network(8, 9, extra_edges=6, seed=8)
+        # equivalence-style multiplicities: the weighted join
+        yield Graph(
+            60,
+            [tuple(e) for e in rng.integers(60, size=(150, 2))],
+            vertex_weights=rng.integers(1, 4, size=60).tolist(),
+        )
+
+    @pytest.mark.parametrize("cells", [0, 1 << 30], ids=["searchsorted", "dense"])
+    def test_forced_path_matches_tuple_kernel(self, monkeypatch, cells):
+        tables = []
+        original = engine_module._join_chunk
+
+        def spy(*args):
+            tables.append(args[-1] is not None)
+            return original(*args)
+
+        monkeypatch.setattr(engine_module, "_join_chunk", spy)
+        monkeypatch.setattr(engine_module, "_TABLE_CELLS", cells)
+        monkeypatch.setattr(engine_module, "_BATCH_CHUNK", 37)  # several chunks
+        for graph in self._graphs():
+            index = PSPCIndex.build(graph, store="tuple")
+            compact = CompactLabelIndex.from_index(index.labels)
+            rng = np.random.default_rng(graph.n)
+            pairs = [(int(a), int(b)) for a, b in rng.integers(graph.n, size=(300, 2))]
+            expected = [spc_query(index.labels, s, t) for s, t in pairs]
+            assert query_batch_compact(compact, pairs) == expected
+        assert tables and all(tables) == bool(cells) and any(tables) == bool(cells)
+
+    def test_paths_agree_bit_for_bit(self, built, monkeypatch):
+        graph, _, compact = built
+        pairs = np.random.default_rng(12).integers(graph.n, size=(700, 2))
+        answers = {}
+        for cells in (0, 1 << 30):
+            monkeypatch.setattr(engine_module, "_TABLE_CELLS", cells)
+            answers[cells] = compact.answer_batch(pairs)
+        assert answers[0].dtype == np.int64
+        assert np.array_equal(answers[0], answers[1 << 30])
 
 
 class TestCosts:

@@ -191,3 +191,36 @@ class TestHygiene:
         )
         assert stats.phase("spawn") > 0.0
         assert stats.phase("construction") > 0.0
+
+
+def test_back_to_back_parallel_builds_leave_clean_stderr(tmp_path):
+    """Workers attach the build's shm blocks without touching the resource
+    tracker they share with the parent, so the parent's unlinks never make
+    the tracker print a ``KeyError`` traceback (and a real leak warning
+    would stay visible)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = tmp_path / "two_builds.py"
+    script.write_text(
+        "from repro.api import build_index\n"
+        "from repro.core.index import BuildConfig\n"
+        "from repro.experiments.datasets import load_dataset\n"
+        "\n"
+        "if __name__ == '__main__':\n"
+        "    config = BuildConfig(engine='parallel', workers=2, num_landmarks=20)\n"
+        "    for key in ('FB', 'FB'):\n"
+        "        build_index(load_dataset(key), config=config)\n"
+        "    print('built')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "built"
+    assert "KeyError" not in proc.stderr, proc.stderr
+    assert "resource_tracker" not in proc.stderr, proc.stderr

@@ -180,3 +180,89 @@ def test_full_audit_accepts_every_built_index(data):
     graph, order = data
     index = pspc_index(graph, order)
     audit_full(index, graph, query_samples=None)
+
+
+# ----------------------------------------------------------------------
+# graph construction: the fast load path against the original algorithms
+# ----------------------------------------------------------------------
+def _reference_canonical_pairs(n: int, edges) -> np.ndarray:
+    """The original canonicalisation: per-edge ints, row-wise unique."""
+    rows = [(int(u), int(v)) for u, v in edges]
+    arr = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    arr = arr[arr[:, 0] != arr[:, 1]]
+    arr = np.sort(arr, axis=1)
+    if not arr.size:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.unique(arr, axis=0)
+
+
+def _reference_csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The original CSR build: lexsort plus an ``add.at`` degree count."""
+    heads = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    tails = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((tails, heads))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, heads[order] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, tails[order].astype(np.int32)
+
+
+def _reference_components(graph: Graph) -> np.ndarray:
+    """The original Python DFS labelling (ids in discovery order)."""
+    comp = np.full(graph.n, -1, dtype=np.int64)
+    cid = 0
+    for s in range(graph.n):
+        if comp[s] >= 0:
+            continue
+        comp[s] = cid
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in graph.indices[graph.indptr[u] : graph.indptr[u + 1]]:
+                if comp[v] < 0:
+                    comp[v] = cid
+                    stack.append(int(v))
+        cid += 1
+    return comp
+
+
+@st.composite
+def raw_edge_lists(draw, max_n: int = 40) -> tuple[int, list[tuple[int, int]]]:
+    """Edge lists as callers write them: duplicates, both orientations,
+    self-loops, few or many components."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_edge_lists(), st.booleans())
+def test_graph_construction_matches_reference(data, packed_keys):
+    from unittest import mock
+
+    n, edges = data
+    indptr, indices = _reference_csr(n, _reference_canonical_pairs(n, edges))
+    # packed_keys=False forces the n^2 >= 2^63 fallback (row-wise unique,
+    # lexsort) that huge vertex counts take
+    with mock.patch.object(Graph, "_packable", lambda self: packed_keys):
+        graph = Graph(n, edges)
+        from_array = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    assert graph.indptr.dtype == indptr.dtype and graph.indices.dtype == indices.dtype
+    assert np.array_equal(graph.indptr, indptr)
+    assert np.array_equal(graph.indices, indices)
+    assert from_array == graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_edge_lists())
+def test_components_match_reference_dfs(data):
+    from repro.graph.properties import connected_components, largest_component
+
+    graph = Graph(*data)
+    expected = _reference_components(graph)
+    assert np.array_equal(connected_components(graph), expected)
+    sub, keep = largest_component(graph)
+    best = int(np.argmax(np.bincount(expected)))
+    assert np.array_equal(keep, np.flatnonzero(expected == best))
+    assert sub == graph.subgraph(keep)[0]

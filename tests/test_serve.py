@@ -473,12 +473,20 @@ class TestLRUCache:
 # ----------------------------------------------------------------------
 # HTTP front-end
 # ----------------------------------------------------------------------
-async def _http_request(port: int, method: str, path: str, body: bytes = b"") -> tuple[int, dict]:
+async def _http_request(
+    port: int,
+    method: str,
+    path: str,
+    body: bytes = b"",
+    content_length: "str | None" = None,
+) -> tuple[int, dict]:
+    """One request; ``content_length`` overrides the header's value."""
+    length = str(len(body)) if content_length is None else content_length
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(
         (
             f"{method} {path} HTTP/1.1\r\n"
-            f"Host: 127.0.0.1\r\nContent-Length: {len(body)}\r\n\r\n"
+            f"Host: 127.0.0.1\r\nContent-Length: {length}\r\n\r\n"
         ).encode()
         + body
     )
@@ -628,22 +636,41 @@ class TestHttpUnhappyPaths:
             ("GET", "/query?s=+5&t=2", None),
             ("GET", "/query?s=%D9%A3&t=2", None),  # Arabic-Indic digit three
             ("GET", "/query?s=0&t=2&deadline_ms=nan", None),
+            ("GET", "/query?s=0&t=2&deadline_ms=1_0", None),
+            ("GET", "/query?s=0&t=2&deadline_ms=1e3", None),
+            ("GET", "/query?s=0&t=2&deadline_ms=+5", None),  # "+" decodes to " "
+            ("GET", "/query?s=0&t=2&deadline_ms=5.", None),
+            ("RAW", "+19", {"pairs": [[0, 5]]}),
+            ("RAW", "1_9", {"pairs": [[0, 5]]}),
+            ("RAW", "19.0", {"pairs": [[0, 5]]}),
         ],
         ids=[
             "float", "bool", "string", "bool-deadline", "nan-deadline",
             "huge-deadline", "underscore", "plus", "non-ascii", "nan-deadline-param",
+            "underscore-deadline-param", "exponent-deadline-param",
+            "plus-deadline-param", "bare-point-deadline-param",
+            "plus-content-length", "underscore-content-length",
+            "fraction-content-length",
         ],
     )
     def test_malformed_numbers_are_a_400(self, served_index, method, path, body):
         """Each was answered before: as another vertex (int() coerces
         floats, bools, strings, "1_0", " 5" and non-ASCII digits), with no
-        deadline (NaN), or as a 500 (float() overflow)."""
+        deadline (NaN), with a float() reading of the deadline ("1_0" was
+        10 ms), as a 500 (float() overflow), or as a body framed by an
+        int() reading of Content-Length ("+19" and "1_9" framed 19 bytes).
+        ``RAW`` cases send ``path`` as the Content-Length header value."""
 
         async def main():
             service = AsyncQueryService(served_index, batch_size=16)
             port, stop, task = await self._serve(service)
             payload = json.dumps(body).encode() if body is not None else b""
-            status, err = await _http_request(port, method, path, payload)
+            if method == "RAW":
+                status, err = await _http_request(
+                    port, "POST", "/query_batch", payload, content_length=path
+                )
+            else:
+                status, err = await _http_request(port, method, path, payload)
             stats = service.stats()
             stop.set()
             await asyncio.wait_for(task, timeout=10)
@@ -795,6 +822,68 @@ def test_pool_preserves_counts_beyond_int64():
             [(0, 1), (1, 0), (2, 2)]
         )
         assert pool.query(0, 1).count == 2**80
+
+
+def test_counts_beyond_int64_exact_on_every_transport():
+    """The overflow store through the store, a 2-shard pool and HTTP."""
+    from repro.core.queries import spc_query
+
+    store = _overflow_store()
+    pairs = [(0, 1), (1, 0), (2, 2), (0, 2), (2, 1), (1, 1)]
+    labels = store.to_label_index()
+    expected = [spc_query(labels, s, t) for s, t in pairs]
+    assert expected[0].count == 2**80  # the scenario is real
+    assert store.query_batch(pairs) == expected
+    with WorkerPool(store, workers=2, shards=2) as pool:
+        assert pool.query_batch(pairs) == expected
+
+    async def main():
+        service = AsyncQueryService(store, workers=2, shards=2)
+        port, stop, task = await TestHttpUnhappyPaths._serve(service)
+        status, body = await _http_request(
+            port, "POST", "/query_batch", json.dumps({"pairs": pairs}).encode()
+        )
+        point_status, point = await _http_request(
+            port, "GET", "/query?s=1&t=0&deadline_ms=2500.5"
+        )
+        stop.set()
+        await asyncio.wait_for(task, timeout=30)
+        return status, body, point_status, point
+
+    status, body, point_status, point = asyncio.run(main())
+    assert status == 200 and point_status == 200
+    assert body["results"] == [
+        {"s": r.s, "t": r.t, "dist": r.dist, "count": r.count} for r in expected
+    ]
+    assert (point["dist"], point["count"]) == (expected[1].dist, 2**80)
+
+
+def test_batch_encoder_bytes_match_json_dumps():
+    """/query_batch encodes from the answer rows, byte for byte as json.dumps
+    of the per-pair dicts, counts beyond int64 included."""
+    from repro.serve.http import encode_results
+
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 10**6, size=(257, 2))
+    answers = np.stack(
+        [rng.integers(-1, 30, 257), rng.integers(0, 2**62, 257)], axis=1
+    )
+
+    def reference(pairs_arr, rows):
+        return json.dumps(
+            {
+                "results": [
+                    {"s": s, "t": t, "dist": d, "count": c}
+                    for (s, t), (d, c) in zip(pairs_arr.tolist(), rows)
+                ]
+            }
+        ).encode()
+
+    assert encode_results(pairs, answers) == reference(pairs, answers.tolist())
+    exact = [(d, c * 2**70) for d, c in answers.tolist()]
+    assert encode_results(pairs, exact) == reference(pairs, exact)
+    empty = np.empty((0, 2), dtype=np.int64)
+    assert encode_results(empty, empty) == reference(empty, [])
 
 
 def test_failed_batch_never_leaks_stale_replies(served_index):

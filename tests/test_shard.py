@@ -263,11 +263,25 @@ class TestFleetManifest:
 # routing
 # ----------------------------------------------------------------------
 class TestRouting:
-    def test_home_shard_is_min_vertex_owner(self):
+    def test_home_shard_is_parity_owner(self):
+        # inside one shard: that shard; straddling: the shard of s when
+        # s + t is even, the shard of t when it is odd
         bounds = shard_bounds(100, 4)
-        pairs = np.array([[10, 80], [80, 10], [99, 0], [30, 30]], dtype=np.int64)
+        pairs = np.array(
+            [[10, 80], [80, 10], [99, 0], [30, 30], [11, 80], [80, 11], [26, 27]],
+            dtype=np.int64,
+        )
         homes = home_shards(bounds, pairs)
-        assert homes.tolist() == [0, 0, 0, 1]
+        assert homes.tolist() == [0, 3, 0, 1, 3, 0, 1]
+
+    @pytest.mark.parametrize("k", (2, 4, 7))
+    def test_uniform_pairs_load_every_shard_evenly(self, k):
+        # min-vertex routing gave shard i a (2(k-i)-1)/k^2 share (3/4 vs
+        # 1/4 at k=2); parity routing gives each shard 1/k
+        bounds = shard_bounds(700, k)
+        pairs = np.random.default_rng(k).integers(700, size=(20_000, 2))
+        shares = np.bincount(home_shards(bounds, pairs), minlength=k) / len(pairs)
+        assert np.all(np.abs(shares - 1 / k) <= 0.1 / k), shares
 
     def test_split_preserves_positions(self):
         bounds = shard_bounds(100, 4)
